@@ -24,13 +24,18 @@ Usage::
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): sweep-speedup
 regressions are enforced by ``repro.cli perf check``.
+
+Throughput numbers use untrained networks: accuracy is irrelevant to timing,
+and skipping training keeps the benchmark a pure measurement of the engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+from typing import Dict, List, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -39,12 +44,113 @@ from repro.analysis.perfhistory import (  # noqa: E402
     add_harness_arguments,
     finish_run,
 )
-from repro.engine.bench import (  # noqa: E402
-    measure_characterization_sweep,
-    measure_inference_throughput,
-)
+from repro.dram.error_models import make_error_model  # noqa: E402
+from repro.dram.injection import BitErrorInjector  # noqa: E402
+from repro.engine.session import InferenceSession, ReadSemantics  # noqa: E402
+from repro.nn.models import build_model_with_dataset  # noqa: E402
+from repro.nn.tensor import DataKind  # noqa: E402
 
 SPEC = BENCHMARKS["inference"]
+
+#: BER grid of the sweep benchmark: the low / middle / top of the coarse
+#: characterization grid, so the measurement covers both sparse and dense
+#: flip regimes.
+SWEEP_BERS = (1e-4, 1e-3, 1e-2, 1e-1, 0.25)
+
+
+def _timed_evaluate(session: InferenceSession, **kwargs) -> float:
+    start = time.perf_counter()
+    session.evaluate(**kwargs)
+    return time.perf_counter() - start
+
+
+def measure_inference_throughput(model_name: str = "resnet101", *,
+                                 ber: float = 1e-3, model_id: int = 0,
+                                 batch_sizes: Sequence[int] = (1, 16, 64),
+                                 seed: int = 0) -> List[Dict]:
+    """Images/second per batch size: nominal vs approximate, both semantics.
+
+    ``model_name`` picks the zoo entry, ``ber``/``model_id`` the weight-store
+    error model, ``batch_sizes`` the serving batch sizes to time, and
+    ``seed`` fixes every stream.  Returns one record dict per batch size
+    with nominal / static-store / per-read images-per-second and the
+    semantics speedup.
+    """
+    network, dataset, spec = build_model_with_dataset(model_name, seed=seed)
+    network.eval()
+    images = len(dataset.val_y)
+    error_model = make_error_model(model_id, ber, seed=seed)
+
+    rows: List[Dict] = []
+    for batch_size in batch_sizes:
+        row: Dict = {"model": model_name, "batch_size": int(batch_size), "ber": ber}
+        nominal = InferenceSession(network, dataset, metric=spec.metric,
+                                   batch_size=batch_size, seed=seed)
+        row["nominal_images_per_sec"] = images / _timed_evaluate(nominal)
+
+        for semantics, key in ((ReadSemantics.STATIC_STORE, "static_store"),
+                               (ReadSemantics.PER_READ, "per_read")):
+            injector = BitErrorInjector(error_model, bits=32,
+                                        data_kinds={DataKind.WEIGHT}, seed=seed)
+            session = InferenceSession(network, dataset, injector=injector,
+                                       semantics=semantics, metric=spec.metric,
+                                       batch_size=batch_size, seed=seed)
+            session.evaluate()   # warm the weak-cell position caches
+            row[f"{key}_images_per_sec"] = images / _timed_evaluate(session)
+        row["semantics_speedup"] = (row["static_store_images_per_sec"]
+                                    / row["per_read_images_per_sec"])
+        rows.append(row)
+    return rows
+
+
+def measure_characterization_sweep(model_name: str = "resnet101", *,
+                                   bers: Sequence[float] = SWEEP_BERS,
+                                   model_id: int = 0, batch_size: int = 4,
+                                   repeats: int = 1, seed: int = 0) -> Dict:
+    """Wall clock of a weight-store BER sweep under both read semantics.
+
+    Sweeps ``model_name`` over the ``bers`` grid with error model
+    ``model_id``, evaluating
+    at ``batch_size`` with ``repeats`` reseeded streams per point from
+    ``seed``.  Returns a dict with the per-read and static-store timings,
+    the speedup, and the sweep scores — so callers can also check
+    static-store determinism (two identically-seeded runs must agree).
+    """
+    network, dataset, spec = build_model_with_dataset(model_name, seed=seed)
+    network.eval()
+    base_model = make_error_model(model_id, 1e-3, seed=seed)
+
+    def run_sweep(semantics: ReadSemantics) -> Dict:
+        injector = BitErrorInjector(base_model, bits=32,
+                                    data_kinds={DataKind.WEIGHT}, seed=seed)
+        session = InferenceSession(network, dataset, injector=injector,
+                                   semantics=semantics, metric=spec.metric,
+                                   batch_size=batch_size, seed=seed,
+                                   repeats=repeats)
+        scores: Dict[float, float] = {}
+        start = time.perf_counter()
+        for ber in bers:
+            injector.set_error_model(base_model.with_ber(ber))
+            scores[float(ber)] = session.evaluate()
+        return {"seconds": time.perf_counter() - start, "scores": scores}
+
+    legacy = run_sweep(ReadSemantics.PER_READ)
+    static = run_sweep(ReadSemantics.STATIC_STORE)
+    static_again = run_sweep(ReadSemantics.STATIC_STORE)
+    if static["scores"] != static_again["scores"]:
+        raise AssertionError("static-store sweep is not deterministic for a "
+                             "fixed seed")
+    return {
+        "model": model_name,
+        "bers": [float(b) for b in bers],
+        "batch_size": int(batch_size),
+        "repeats": int(repeats),
+        "per_read_seconds": legacy["seconds"],
+        "static_store_seconds": static["seconds"],
+        "speedup": legacy["seconds"] / static["seconds"],
+        "per_read_scores": legacy["scores"],
+        "static_store_scores": static["scores"],
+    }
 
 
 def main() -> int:

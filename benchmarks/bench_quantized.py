@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+from typing import Dict
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -36,9 +40,81 @@ from repro.analysis.perfhistory import (  # noqa: E402
     add_harness_arguments,
     finish_run,
 )
-from repro.engine.bench import measure_quantized_throughput  # noqa: E402
+from repro.dram.error_models import make_error_model  # noqa: E402
+from repro.dram.injection import BitErrorInjector  # noqa: E402
+from repro.engine.session import InferenceSession  # noqa: E402
+from repro.nn.models import build_model_with_dataset  # noqa: E402
+from repro.nn.quantization import QuantizedLoadTransform  # noqa: E402
+from repro.nn.tensor import DataKind  # noqa: E402
 
 SPEC = BENCHMARKS["quantized"]
+
+
+def measure_quantized_throughput(model_name: str = "lenet", *,
+                                 ber: float = 1e-3, model_id: int = 0,
+                                 dtype: str = "int8", pad_to: int = 16,
+                                 n_rows: int = 1024, passes: int = 3,
+                                 seed: int = 0) -> Dict:
+    """Serving-shaped dispatch rate: fused integer plan vs FP32 static store.
+
+    Both paths serve the same zoo model (``model_name``, weight store at
+    ``ber`` with error model ``model_id``, streams fixed by ``seed``) from a
+    materialized static store and run ``predict(pad_to=...)`` one
+    ``pad_to``-row dispatch at a time — the shape the micro-batcher
+    produces.  The FP32 path stores the weights as corrupted float32 (the
+    historical serving configuration); the ``dtype`` path stores them as
+    integer codes and executes the compiled fused plan.  The best of
+    ``passes`` timed passes counts, and each pass covers ``n_rows`` rows.
+    Returns a record dict with rows/second for both paths and the headline
+    ``speedup`` CI gates on.
+    """
+    if not dtype.startswith("int"):
+        raise ValueError(f"dtype must be an integer precision, got {dtype!r}")
+    bits = int(dtype[3:])
+    network, dataset, spec = build_model_with_dataset(model_name, seed=seed)
+    network.eval()
+    error_model = make_error_model(model_id, ber, seed=seed)
+    val_x = np.asarray(dataset.val_x, dtype=np.float32)
+    reps = -(-n_rows // len(val_x))
+    rows_in = np.concatenate([val_x] * reps)[:n_rows]
+
+    fp32_injector = BitErrorInjector(error_model, bits=32,
+                                     data_kinds={DataKind.WEIGHT}, seed=seed)
+    fp32_session = InferenceSession(network, dataset, injector=fp32_injector,
+                                    metric=spec.metric, seed=seed)
+    int_injector = QuantizedLoadTransform(
+        bits, inner=BitErrorInjector(error_model, bits=bits,
+                                     data_kinds={DataKind.WEIGHT}, seed=seed))
+    int_session = InferenceSession(network, dataset, injector=int_injector,
+                                   metric=spec.metric, seed=seed,
+                                   execution_mode="integer")
+
+    def dispatch_rate(session: InferenceSession) -> float:
+        session.predict(rows_in[:pad_to], pad_to=pad_to)   # compile + warm
+        best = float("inf")
+        for _ in range(passes):
+            start = time.perf_counter()
+            for lo in range(0, n_rows, pad_to):
+                session.predict(rows_in[lo:lo + pad_to], pad_to=pad_to)
+            best = min(best, time.perf_counter() - start)
+        return n_rows / best
+
+    fp32_rate = dispatch_rate(fp32_session)
+    int_rate = dispatch_rate(int_session)
+    return {
+        "model": model_name,
+        "dtype": dtype,
+        "ber": float(ber),
+        "pad_to": int(pad_to),
+        "n_rows": int(n_rows),
+        "passes": int(passes),
+        "fp32_rows_per_sec": fp32_rate,
+        f"{dtype}_rows_per_sec": int_rate,
+        "quantized_rows_per_sec": int_rate,
+        "speedup": int_rate / fp32_rate,
+    }
+
+
 
 
 def main() -> int:

@@ -8,7 +8,7 @@ MICRO-52, 2019) as a self-contained Python library:
   quantization, pruning, a model zoo of scaled-down analogues of the paper's
   networks, and synthetic datasets);
 * :mod:`repro.dram` -- the approximate-DRAM substrate (behavioural device,
-  SoftMC-style profiler, EDEN's four error models, MLE fitting, bit-error
+  SoftMC-style profiler, EDEN's error models 0-4, MLE fitting, bit-error
   injection, DRAMPower-style energy model, partitions);
 * :mod:`repro.core` -- EDEN itself (curricular retraining, implausible-value
   correction, coarse/fine characterization, Algorithm-1 mapping, pipeline);

@@ -360,7 +360,7 @@ class ExperimentRunner:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the executor pool, if one was started."""
+        """Shut down the executor pool, if one was started, and the session."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None

@@ -2,8 +2,7 @@
 
 See :mod:`repro.engine.session` for the two read-semantics modes
 (paper-faithful static-store vs legacy per-read) and
-:mod:`repro.engine.bench` for the throughput measurement helpers behind the
-``bench`` CLI subcommand and ``benchmarks/bench_inference_throughput.py``.
+:mod:`repro.engine.quantized` for the fused integer-GEMM plans.
 """
 
 from repro.engine.quantized import (

@@ -1,34 +1,19 @@
-"""Serving-gateway measurements behind ``serve-bench`` and CI.
+"""Serving build helpers shared by the serving front ends and benchmarks.
 
-Shared by the ``repro.cli serve-bench`` subcommand and
-``benchmarks/bench_serving.py`` (which records ``BENCH_serving.json`` and
-gates CI).  One call to :func:`measure_serving` produces:
+One place builds the canonical serving endpoint, so ``repro.cli serve`` /
+``route`` / ``loadgen``, the server and router benchmark scripts and
+``perfbench`` all serve the same thing:
 
-* **batch-1 serial vs micro-batched** — wall clock of serving ``n_requests``
-  single-sample requests through a gateway compiled at batch shape 1 (every
-  request is its own forward pass) vs through a micro-batching gateway that
-  coalesces up to ``max_batch`` requests per dispatch.  The ratio is the
-  headline speedup CI gates on.
-* **bit-identity check** — within the micro-batching gateway, the coalesced
-  results are compared bit-for-bit against strictly serial per-request
-  dispatch through the same compiled plan (static batch shapes make the two
-  identical for fixed seeds).
-* **cold vs warm registry** — seconds to register an endpoint when the plan
-  must be compiled + materialized (cold) vs when the registry already holds
-  it (warm hit).
-* **async front end** — throughput of concurrent client threads submitting
-  through the worker-thread batcher.
-
-Untrained networks are used throughout: serving throughput does not depend
-on what the weights converged to, and skipping training keeps the benchmark
-a pure measurement of the serving stack.
+* :func:`request_set` — ``n`` single-sample requests tiled from a dataset's
+  validation split;
+* :func:`serving_injector` — the weight-store injector and execution mode
+  for a serving dtype (``fp32`` or an integer precision served through the
+  fused integer-GEMM plan);
+* :func:`build_serving_gateway` — a zoo model registered on a
+  micro-batching :class:`~repro.serve.gateway.ServingGateway`.
 """
 
 from __future__ import annotations
-
-import threading
-import time
-from typing import Dict
 
 import numpy as np
 
@@ -49,9 +34,6 @@ def request_set(dataset, n_requests: int) -> np.ndarray:
     repeats = -(-n_requests // len(val_x))        # ceil division
     return np.concatenate([val_x] * repeats)[:n_requests]
 
-
-#: backwards-compatible alias (pre-HTTP-front-end name).
-_request_set = request_set
 
 #: serving dtypes reachable from the CLI and benchmark drivers.
 SERVING_DTYPES = ("fp32", "int8", "int4", "int16")
@@ -114,121 +96,3 @@ def build_serving_gateway(model: str = "lenet", *, ber: float = 1e-3,
                                seed=seed, metric=spec.metric,
                                execution_mode=execution_mode)
     return gateway, session, dataset
-
-
-def measure_serving(model_name: str = "lenet", *, ber: float = 1e-3,
-                    model_id: int = 0, n_requests: int = 256,
-                    max_batch: int = 32, client_threads: int = 4,
-                    seed: int = 0, dtype: str = "fp32") -> Dict:
-    """Measure the serving gateway against batch-1 per-request serving.
-
-    Builds ``model_name`` from the zoo, stores its weights in approximate
-    DRAM at ``ber`` (error model ``model_id``), and serves ``n_requests``
-    single-sample requests four ways (serial batch-1, micro-batched,
-    micro-batched via concurrent ``client_threads``, and the serial
-    reference for the bit-identity check).  ``max_batch`` is the
-    micro-batcher's coalescing bound, ``seed`` fixes every stream, and
-    ``dtype`` selects the stored precision / execution path of every
-    endpoint under test (see :func:`serving_injector`).
-    Returns a JSON-serializable dict with timings, the headline
-    ``microbatch_speedup``, ``bit_identical``, cold/warm registry seconds,
-    and the gateway telemetry snapshot.
-    """
-    network, dataset, spec = build_model_with_dataset(model_name, seed=seed)
-    network.eval()
-    requests = request_set(dataset, n_requests)
-    injector, execution_mode = serving_injector(dtype, ber=ber,
-                                                model_id=model_id, seed=seed)
-
-    # -- cold vs warm registry ---------------------------------------------------
-    gateway = ServingGateway(ServeConfig(max_batch=max_batch,
-                                         auto_flush=False))
-    started = time.perf_counter()
-    gateway.register(model_name, network, dataset, injector=injector,
-                     seed=seed, metric=spec.metric,
-                     execution_mode=execution_mode)
-    cold_register_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    gateway.register(f"{model_name}-replica", network, dataset,
-                     injector=injector, seed=seed, metric=spec.metric,
-                     execution_mode=execution_mode)
-    warm_register_seconds = time.perf_counter() - started
-
-    # -- batch-1 serial per-request serving --------------------------------------
-    serial_gateway = ServingGateway(ServeConfig(max_batch=1,
-                                                auto_flush=False))
-    serial_gateway.register(model_name, network, dataset, injector=injector,
-                            seed=seed, metric=spec.metric,
-                            execution_mode=execution_mode)
-    serial_gateway.predict(model_name, requests[0])      # warm caches
-    started = time.perf_counter()
-    serial_outputs = serial_gateway.predict_many(model_name, requests,
-                                                 coalesce=False)
-    serial_seconds = time.perf_counter() - started
-
-    # -- micro-batched serving through the shared plan ---------------------------
-    gateway.predict(model_name, requests[0])             # warm caches
-    started = time.perf_counter()
-    batched_outputs = gateway.predict_many(model_name, requests,
-                                           coalesce=True)
-    batched_seconds = time.perf_counter() - started
-
-    # -- bit-identity: coalesced vs serial dispatch, same compiled shape ---------
-    reference_outputs = gateway.predict_many(model_name, requests,
-                                             coalesce=False)
-    # Raw byte comparison: bit-identity must hold even through NaN logits
-    # (corrupted FP32 weights produce them), which np.array_equal rejects.
-    bit_identical = (batched_outputs.shape == reference_outputs.shape and
-                     batched_outputs.tobytes() == reference_outputs.tobytes())
-
-    # -- async front end: concurrent clients, worker-thread batcher --------------
-    async_gateway = ServingGateway(ServeConfig(max_batch=max_batch,
-                                               max_wait_ms=2.0,
-                                               auto_flush=True))
-    async_gateway.register(model_name, network, dataset, injector=injector,
-                           seed=seed, metric=spec.metric,
-                           execution_mode=execution_mode)
-    async_gateway.predict(model_name, requests[0])       # warm caches
-    shards = np.array_split(requests, client_threads)
-
-    def client(shard: np.ndarray) -> None:
-        futures = [async_gateway.submit(model_name, sample)
-                   for sample in shard]
-        for future in futures:
-            future.result()
-
-    threads = [threading.Thread(target=client, args=(shard,))
-               for shard in shards]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    async_seconds = time.perf_counter() - started
-    async_gateway.close()
-
-    snapshot = gateway.snapshot()
-    record = {
-        "model": model_name,
-        "dtype": dtype,
-        "ber": float(ber),
-        "n_requests": int(n_requests),
-        "max_batch": int(max_batch),
-        "client_threads": int(client_threads),
-        "serial_batch1_seconds": serial_seconds,
-        "microbatched_seconds": batched_seconds,
-        "microbatch_speedup": serial_seconds / batched_seconds,
-        "async_seconds": async_seconds,
-        "serial_rps": n_requests / serial_seconds,
-        "microbatched_rps": n_requests / batched_seconds,
-        "async_rps": n_requests / async_seconds,
-        "bit_identical": bit_identical,
-        "cold_register_seconds": cold_register_seconds,
-        "warm_register_seconds": warm_register_seconds,
-        "registry": dict(gateway.registry.stats),
-        "telemetry": snapshot,
-        "serial_matches_batch1_predictions": bool(np.array_equal(
-            np.argmax(serial_outputs, axis=1),
-            np.argmax(batched_outputs, axis=1))),
-    }
-    return record

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.serve.replica import LocalReplica, ReplicaManager
 from repro.serve.server import (
     ServerHandle,
+    close_and_drain,
     handle_http_connection,
     json_safe,
     run_in_thread,
@@ -463,23 +464,12 @@ class RouterServer:
         if self._respawn_tasks:
             await asyncio.gather(*self._respawn_tasks, return_exceptions=True)
         if self._server is not None:
-            self._server.close()
-        deadline = time.perf_counter() + self.config.drain_timeout_s
-        while self._inflight > 0 and time.perf_counter() < deadline:
-            await asyncio.sleep(0.005)
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks,
-                                 return_exceptions=True)
+            await close_and_drain(self._server, self._connection_tasks,
+                                  lambda: self._inflight,
+                                  self.config.drain_timeout_s)
+            self._server = None
         for client in self._clients.values():
             client.close()
-        if self._server is not None:
-            try:
-                await asyncio.wait_for(self._server.wait_closed(), timeout=1.0)
-            except asyncio.TimeoutError:    # pragma: no cover - timing
-                pass
-            self._server = None
 
     @property
     def base_url(self) -> str:

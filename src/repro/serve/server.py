@@ -204,6 +204,62 @@ async def handle_http_connection(reader: asyncio.StreamReader,
             pass
 
 
+#: loop iterations a shutdown step waits for asyncio's connection set-up
+#: to settle.  A connection's handler registers three iterations after
+#: accept() (transport creation, ``connection_made``, the task's first
+#: step); the rest is margin.
+_SETTLE_ITERATIONS = 8
+
+
+async def close_and_drain(server: asyncio.AbstractServer, tasks: set,
+                          inflight, drain_timeout_s: float) -> None:
+    """Close ``server`` and drain its connections: the shared shutdown path.
+
+    ``tasks`` is the connection-handler set :func:`handle_http_connection`
+    maintains, ``inflight`` a callable returning the number of requests
+    still being served, and ``drain_timeout_s`` bounds the wait for them.
+
+    1. Stop accepting, let already-accepted sockets become transports, then
+       close the listener.  Python 3.11's ``Server`` refuses to attach a
+       transport once closed, so a socket accepted in the iteration before
+       ``close()`` would otherwise stay open with no handler and its client
+       would hang.
+    2. Give in-flight requests up to ``drain_timeout_s`` to finish.
+    3. Cancel connection handlers (idle keep-alive connections and any
+       request that outlived the drain window) until the set stays empty,
+       re-checking after every ``await``: a handler registers a few
+       iterations after its accept, so one snapshot can miss it.  A
+       cancelled handler closes its connection, so its client sees EOF.
+    """
+    loop = asyncio.get_running_loop()
+    for sock in server.sockets:
+        loop.remove_reader(sock.fileno())
+    for _ in range(_SETTLE_ITERATIONS):
+        await asyncio.sleep(0)
+    server.close()
+    deadline = time.perf_counter() + drain_timeout_s
+    while inflight() > 0 and time.perf_counter() < deadline:
+        await asyncio.sleep(0.005)
+    quiet = 0
+    while quiet < _SETTLE_ITERATIONS:
+        if tasks:
+            quiet = 0
+            pending = list(tasks)
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
+        else:
+            quiet += 1
+            await asyncio.sleep(0)
+    # Python 3.12 made wait_closed() wait for open *client* connections
+    # too; a keep-alive client that never disconnects must not hold
+    # shutdown hostage, so the wait is bounded.
+    try:
+        await asyncio.wait_for(server.wait_closed(), timeout=1.0)
+    except asyncio.TimeoutError:        # pragma: no cover - timing
+        pass
+
+
 def encode_rows(rows: np.ndarray) -> list:
     """Base64-encode each float32 row of ``rows`` for bit-exact transport.
 
@@ -291,25 +347,9 @@ class InferenceServer:
         """
         self._draining = True
         if self._server is not None:
-            self._server.close()
-        deadline = time.perf_counter() + self.config.drain_timeout_s
-        while self._inflight > 0 and time.perf_counter() < deadline:
-            await asyncio.sleep(0.005)
-        # Idle keep-alive connections (and any request that outlived the
-        # drain window) are cancelled so no task survives into loop close.
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks,
-                                 return_exceptions=True)
-        if self._server is not None:
-            # Python 3.12 made wait_closed() wait for open *client*
-            # connections too; a keep-alive client that never disconnects
-            # must not hold shutdown hostage, so the wait is bounded.
-            try:
-                await asyncio.wait_for(self._server.wait_closed(), timeout=1.0)
-            except asyncio.TimeoutError:    # pragma: no cover - timing
-                pass
+            await close_and_drain(self._server, self._connection_tasks,
+                                  lambda: self._inflight,
+                                  self.config.drain_timeout_s)
             self._server = None
 
     @property

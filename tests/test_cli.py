@@ -12,9 +12,8 @@ class TestParser:
                           if hasattr(action, "choices") and action.choices)
         expected = {"list-models", "profile-dram", "fit-error-model", "characterize",
                     "boost", "evaluate-cpu", "evaluate-accel", "memsys",
-                    "bench", "parallel-bench", "serve-bench", "serve",
-                    "loadgen", "route", "ecc-sweep", "perf"}
-        assert expected <= set(subparsers.choices)
+                    "serve", "loadgen", "route", "ecc-sweep", "perf"}
+        assert expected == set(subparsers.choices)
 
     def test_perf_subcommands_registered(self):
         for sub in ("report", "check", "list"):
@@ -77,20 +76,6 @@ class TestCommands:
         assert main(["evaluate-accel"]) == 0
         out = capsys.readouterr().out
         assert "eyeriss" in out and "tpu" in out
-
-    def test_serve_bench(self, capsys):
-        assert main(["serve-bench", "--requests", "48", "--max-batch", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "micro-batch speedup" in out
-        assert "bit-identical" in out
-        assert "Serving telemetry" in out
-        assert "Session registry" in out
-
-    def test_parallel_bench_registered_with_defaults(self):
-        args = build_parser().parse_args(["parallel-bench"])
-        assert args.model == "lenet"
-        assert args.processes == 4
-        assert args.handler is not None
 
     def test_serve_registered_with_defaults(self):
         args = build_parser().parse_args(["serve"])

@@ -33,7 +33,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 AUDITED_MODULES = [
     "repro/engine/__init__.py",
     "repro/engine/session.py",
-    "repro/engine/bench.py",
     "repro/analysis/runner.py",
     "repro/analysis/reporting.py",
     "repro/analysis/perfhistory.py",
@@ -44,7 +43,6 @@ AUDITED_MODULES = [
     "repro/parallel/plan.py",
     "repro/parallel/executor.py",
     "repro/parallel/dispatch.py",
-    "repro/parallel/bench.py",
     "repro/serve/__init__.py",
     "repro/serve/registry.py",
     "repro/serve/batcher.py",

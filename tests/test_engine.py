@@ -289,25 +289,11 @@ class TestParallelSweepSemantics:
             assert serial.ber_sweep(model, bers) == parallel.ber_sweep(model, bers)
 
 
-class TestShardedEvaluation:
-    def test_sharded_baseline_matches_serial(self, lenet_clone):
+class TestSingleProcessSubstrate:
+    def test_processes_argument_is_gone(self, lenet_clone):
         network, dataset, _ = lenet_clone
-        session = InferenceSession(network, dataset, processes=2)
-        try:
-            assert session.evaluate() == session.baseline()
-        finally:
-            session.close()
-
-    def test_sharded_injection_is_deterministic(self, lenet_clone):
-        network, dataset, _ = lenet_clone
-        model = make_error_model(0, 5e-3, seed=0)
-        injector = BitErrorInjector(model, seed=0)
-        with InferenceSession(network, dataset, injector=injector,
-                              semantics=ReadSemantics.STATIC_STORE,
-                              processes=2) as session:
-            first = session.evaluate(seed=5)
-            second = session.evaluate(seed=5)
-        assert first == second
+        with pytest.raises(TypeError):
+            InferenceSession(network, dataset, processes=2)
 
 
 class TestSessionConstructors:

@@ -304,6 +304,46 @@ class TestSessionExport:
             exported.retain()
         exported.close()                     # idempotent after unlink
 
+    @staticmethod
+    def _segments_attachable(exported) -> bool:
+        from multiprocessing import shared_memory
+
+        try:
+            shm = shared_memory.SharedMemory(
+                name=exported.handle.weights.segment)
+        except FileNotFoundError:
+            return False
+        shm.close()
+        return True
+
+    def test_session_close_unlinks_export(self, lenet_clone):
+        network, dataset, _ = lenet_clone
+        injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
+                                    data_kinds={DataKind.WEIGHT}, seed=0)
+        session = InferenceSession(network, dataset, injector=injector,
+                                   semantics=ReadSemantics.STATIC_STORE)
+        exported = session.export_plan()
+        assert self._segments_attachable(exported)
+        session.close()
+        assert exported.refs == 0
+        assert not self._segments_attachable(exported)
+
+    def test_session_close_keeps_retained_export_attachable(self,
+                                                            lenet_clone):
+        network, dataset, _ = lenet_clone
+        injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
+                                    data_kinds={DataKind.WEIGHT}, seed=0)
+        with InferenceSession(network, dataset, injector=injector,
+                              semantics=ReadSemantics.STATIC_STORE) as session:
+            exported = session.export_plan()
+            adopter = exported.retain()
+        # The session's reference is gone; the adopter's keeps the segments.
+        assert exported.refs == 1
+        assert self._segments_attachable(exported)
+        adopter.release()
+        assert exported.refs == 0
+        assert not self._segments_attachable(exported)
+
 
 class TestMultiProcessServing:
     def test_dispatch_processes_bit_identical(self, lenet_clone):

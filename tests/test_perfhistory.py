@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -255,6 +256,29 @@ class TestRegistry:
         for spec in ph.BENCHMARKS.values():
             for gate in spec.gates:
                 assert gate.hard == (gate.kind in ("identity", "positive"))
+
+
+class TestBenchScripts:
+    @staticmethod
+    def load_script(name: str):
+        spec = importlib.util.spec_from_file_location(name,
+                                                      BENCH_DIR / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_bench_serving_records_bit_identical_run(self, tmp_path, capsys):
+        script = self.load_script("bench_serving")
+        output = tmp_path / "BENCH_serving.json"
+        history = tmp_path / "history.jsonl"
+        assert script.main(["--requests", "48", "--max-batch", "8",
+                            "--output", str(output),
+                            "--history", str(history)]) == 0
+        snapshot = json.loads(output.read_text())
+        assert snapshot["bit_identical"] is True
+        assert snapshot["perf"]["metrics"]["bit_identical"] is True
+        assert len(ph.HistoryStore(history).entries_for("serving")) == 1
+        assert "perf gates: serving" in capsys.readouterr().out
 
 
 class TestFinishRun:

@@ -14,6 +14,7 @@ The acceptance properties of the network-facing layer:
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -247,6 +248,56 @@ class TestDrain:
         assert post.status in (-1, 503)      # listener is gone
         target.close()
         gateway.close()
+
+    @pytest.mark.parametrize("front_end", ["server", "router"])
+    def test_stop_never_abandons_a_late_connection(self, front_end):
+        # Connections accepted just before the listener closes get their
+        # handler task a few loop iterations later; stop() must still
+        # answer or close every one of them instead of leaving it open
+        # when the loop stops.
+        from repro.serve.router import route_in_thread
+
+        gateway = ServingGateway(ServeConfig())
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        stuck = []
+
+        def client(port: int, delay: float) -> None:
+            time.sleep(delay)
+            try:
+                sock = socket.create_connection(("127.0.0.1", port),
+                                                timeout=2.0)
+            except OSError:
+                return                          # refused: listener gone
+            try:
+                sock.sendall(request)
+                sock.recv(4096)                 # a response or EOF
+            except socket.timeout:
+                stuck.append(delay)
+            except OSError:
+                pass                            # reset: refused cleanly
+            finally:
+                sock.close()
+
+        started = time.perf_counter()
+        for round_index in range(20):
+            if front_end == "server":
+                handle = serve_in_thread(gateway)
+            else:
+                # An unreachable replica: the router still serves /healthz.
+                handle = route_in_thread(["http://127.0.0.1:1"])
+            threads = [threading.Thread(target=client,
+                                        args=(handle.port, 0.0005 * i))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.0005 * (round_index % 8))
+            handle.stop()
+            for thread in threads:
+                thread.join(timeout=5)
+            assert all(not thread.is_alive() for thread in threads)
+        gateway.close()
+        assert stuck == []
+        assert time.perf_counter() - started < 60
 
     def test_server_requires_auto_flush_gateway(self, lenet_clone):
         from repro.serve.server import InferenceServer
