@@ -118,18 +118,6 @@ def main() -> int:
               f"corrected {point['corrected']:.3f}  "
               f"uncorrectable cw {int(point['uncorrectable_codewords'])}")
 
-    payload = {
-        "benchmark": "ecc_correction",
-        "headline": {
-            "name": f"{args.model}_{args.correction}_at_{args.ber:g}",
-            "raw_accuracy": headline["raw"],
-            "corrected_accuracy": headline["corrected"],
-            "uncorrectable_codewords": headline["uncorrectable_codewords"],
-        },
-        "store_bit_identical": store_bit_identical,
-        "materialization_stats": stats,
-        "sweep": {f"{ber:g}": sweep[ber] for ber in bers},
-    }
     metrics = {
         "store_bit_identical": store_bit_identical,
         "corrected_symbols": stats["corrected_symbols"],
@@ -141,7 +129,9 @@ def main() -> int:
     }
     units = {"sweep_seconds": "s", "raw_accuracy": "frac",
              "corrected_accuracy": "frac"}
-    return finish_run(SPEC, args, metrics, payload, units)
+    details = {"materialization_stats": stats,
+               "sweep": {f"{ber:g}": sweep[ber] for ber in bers}}
+    return finish_run(SPEC, args, metrics, units, details)
 
 
 if __name__ == "__main__":

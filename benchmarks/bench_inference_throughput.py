@@ -179,17 +179,6 @@ def main() -> int:
               f"{row['per_read_images_per_sec']:>8,.0f}   "
               f"({row['semantics_speedup']:.2f}x)")
 
-    payload = {
-        "benchmark": "inference_throughput",
-        "headline": {
-            "name": f"{args.model}_weight_store_ber_sweep",
-            "speedup": sweep["speedup"],
-            "per_read_seconds": sweep["per_read_seconds"],
-            "static_store_seconds": sweep["static_store_seconds"],
-        },
-        "sweep": sweep,
-        "throughput": throughput,
-    }
     batch1 = throughput[0]
     metrics = {
         "sweep_speedup": sweep["speedup"],
@@ -205,7 +194,8 @@ def main() -> int:
         "batch1_static_store_images_per_sec": "img/s",
         "batch1_semantics_speedup": "x",
     }
-    return finish_run(SPEC, args, metrics, payload, units)
+    return finish_run(SPEC, args, metrics, units,
+                      {"sweep": sweep, "throughput": throughput})
 
 
 if __name__ == "__main__":

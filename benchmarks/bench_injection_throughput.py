@@ -128,11 +128,6 @@ def main() -> int:
               f"   speedup {result['speedup']:.1f}x / {result['warm_speedup']:.0f}x")
 
     headline = results[0]
-    payload = {
-        "benchmark": "injection_throughput",
-        "headline": headline,
-        "results": results,
-    }
     metrics = {
         "bit_identical": all(r["bit_identical"] for r in results),
         "headline_speedup": headline["speedup"],
@@ -146,7 +141,7 @@ def main() -> int:
         "reference_values_per_sec": "values/s",
         "cold_values_per_sec": "values/s", "warm_values_per_sec": "values/s",
     }
-    return finish_run(SPEC, args, metrics, payload, units)
+    return finish_run(SPEC, args, metrics, units, {"results": results})
 
 
 if __name__ == "__main__":

@@ -195,7 +195,6 @@ def measure_parallel(model_name: str = "lenet", *, processes: int = 4,
     return {
         "model": model_name,
         "processes": int(processes),
-        "cpu_count": os.cpu_count(),
         "repeats": int(repeats),
         "ber_grid": grid,
         "characterization_sweep_serial_seconds": serial["seconds"],
@@ -232,20 +231,8 @@ def main() -> int:
 
     record = measure_parallel(args.model, processes=args.processes,
                               epochs=args.epochs, seed=args.seed)
-    payload = {
-        "benchmark": "parallel_executor",
-        "headline": {
-            "name": f"{args.model}_characterization_sweep_{args.processes}_workers",
-            "speedup": record["characterization_sweep_speedup"],
-            "serial_seconds": record["characterization_sweep_serial_seconds"],
-            "parallel_seconds": record["characterization_sweep_parallel_seconds"],
-            "bit_identical": all(record[key] for key in IDENTITY_KEYS),
-        },
-        **record,
-    }
-
     print(f"{args.model}: serial vs {args.processes} shared-memory workers "
-          f"({record['cpu_count']} CPUs visible)")
+          f"({os.cpu_count()} CPUs visible)")
     print(f"  characterization sweep   "
           f"{record['characterization_sweep_serial_seconds']:7.2f} s -> "
           f"{record['characterization_sweep_parallel_seconds']:7.2f} s "
@@ -275,7 +262,8 @@ def main() -> int:
         "characterization_sweep_serial_seconds": "s",
         "characterization_sweep_parallel_seconds": "s",
     }
-    return finish_run(SPEC, args, metrics, payload, units)
+    details = {k: v for k, v in record.items() if k not in metrics}
+    return finish_run(SPEC, args, metrics, units, details)
 
 
 if __name__ == "__main__":

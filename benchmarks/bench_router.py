@@ -151,15 +151,7 @@ def main() -> int:
     rps_scaled = scaled["steady"]["achieved_rps"]
     speedup = rps_scaled / rps_single if rps_single > 0 else float("nan")
 
-    payload = {
-        "benchmark": "router",
-        "headline": {
-            "name": f"{args.model}_router_{args.replicas}x_scaling",
-            "bit_identical": bool(bit_identical),
-            "rps_1_replica": rps_single,
-            f"rps_{args.replicas}_replicas": rps_scaled,
-            "speedup": speedup,
-        },
+    details = {
         "model": args.model,
         "dtype": args.dtype,
         "execution_mode": session.mode_label(),
@@ -168,10 +160,8 @@ def main() -> int:
         "concurrency": int(args.concurrency),
         "queue_depth": int(args.queue_depth),
         "max_batch": int(args.max_batch),
-        "cpus_visible": int(cpus),
         "single": single,
         "scaled": scaled,
-        "bit_identical": bool(bit_identical),
     }
 
     print(f"router tier ({args.model}, {args.dtype} weight store at BER "
@@ -192,7 +182,7 @@ def main() -> int:
     }
     units = {"scaleout_speedup": "x", "rps_1_replica": "req/s",
              "rps_scaled": "req/s", "scaled_replicas": "replicas"}
-    return finish_run(SPEC, args, metrics, payload, units)
+    return finish_run(SPEC, args, metrics, units, details)
 
 
 if __name__ == "__main__":

@@ -112,15 +112,7 @@ def main() -> int:
         gateway.close()
 
     steady_record = steady.to_record()
-    payload = {
-        "benchmark": "http_server",
-        "headline": {
-            "name": f"{args.model}_http_steady_bit_identity",
-            "bit_identical": bool(bit_identical),
-            "steady_rps": steady_record["achieved_rps"],
-            "burst_shed": int(burst.shed),
-            "burst_admitted_correct": bool(admitted_correct),
-        },
+    details = {
         "model": args.model,
         "dtype": args.dtype,
         "execution_mode": session.mode_label(),
@@ -130,8 +122,6 @@ def main() -> int:
         "steady": steady_record,
         "burst": burst.to_record(),
         "open_loop": open_loop.to_record(),
-        "bit_identical": bool(bit_identical),
-        "burst_admitted_correct": bool(admitted_correct),
         "telemetry": snapshot,
     }
 
@@ -155,7 +145,7 @@ def main() -> int:
     }
     units = {"burst_shed": "requests", "steady_rps": "req/s",
              "steady_p99_ms": "ms", "open_loop_rps": "req/s"}
-    return finish_run(SPEC, args, metrics, payload, units)
+    return finish_run(SPEC, args, metrics, units, details)
 
 
 if __name__ == "__main__":

@@ -195,18 +195,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     record = measure_serving(args.model, ber=args.ber,
                              n_requests=args.requests,
                              max_batch=args.max_batch)
-    payload = {
-        "benchmark": "serving_gateway",
-        "headline": {
-            "name": f"{args.model}_microbatch_vs_batch1_serial",
-            "speedup": record["microbatch_speedup"],
-            "serial_batch1_seconds": record["serial_batch1_seconds"],
-            "microbatched_seconds": record["microbatched_seconds"],
-            "bit_identical": record["bit_identical"],
-        },
-        **record,
-    }
-
     print(f"serving {record['n_requests']} single-sample requests "
           f"({args.model}, weight store at BER {args.ber:g}):")
     print(f"  batch-1 serial       {record['serial_batch1_seconds']:8.3f} s  "
@@ -236,7 +224,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "microbatched_rps": "req/s", "async_rps": "req/s",
         "cold_register_seconds": "s", "warm_register_seconds": "s",
     }
-    return finish_run(SPEC, args, metrics, payload, units)
+    details = {k: v for k, v in record.items() if k not in metrics}
+    return finish_run(SPEC, args, metrics, units, details)
 
 
 if __name__ == "__main__":

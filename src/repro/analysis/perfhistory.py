@@ -17,9 +17,9 @@ The pieces
 * :class:`BenchRecord` — one benchmark run: flat ``metrics`` (floats and
   bools), ``units``, the fingerprint, a timestamp.
 * :class:`HistoryStore` — the append-only per-commit store
-  (``BENCH_history.jsonl``, one record per line).  The legacy ``BENCH_*.json``
-  snapshots are still written as the latest-run view (see
-  :func:`write_snapshot`), now stamped with the fingerprint.
+  (``BENCH_history.jsonl``, one record per line).  Each ``BENCH_<name>.json``
+  snapshot is the latest run's record in the same shape, plus an optional
+  ``details`` blob of script-specific tables (see :func:`write_snapshot`).
 * :class:`GateSpec` / :func:`evaluate_gates` — the degradation detector.
   ``identity``/``positive`` gates are unconditional hard failures;
   ``speedup`` gates compare against the median of a baseline window of
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import platform
 import statistics
@@ -253,14 +254,15 @@ def baseline_window(prior: Sequence[BenchRecord], record: BenchRecord,
     """Baseline values for ``metric`` of ``record`` from prior runs.
 
     Filters ``prior`` down to entries of the same benchmark whose
-    environment is compatible with ``record.env`` and that carry ``metric``,
-    then returns the most recent ``window`` values (oldest first).
+    environment is compatible with ``record.env`` and that carry a finite
+    ``metric``, then returns the most recent ``window`` values (oldest
+    first).  A NaN that reached the history never skews a later median.
     """
     values = [float(entry.metrics[metric]) for entry in prior
               if entry.benchmark == record.benchmark
               and metric in entry.metrics
               and entry.env.compatible_with(record.env)]
-    return values[-window:]
+    return [value for value in values if math.isfinite(value)][-window:]
 
 
 @dataclass(frozen=True)
@@ -331,13 +333,16 @@ def _evaluate_gate(gate: GateSpec, record: BenchRecord,
         return GateResult(gate, "fail", f"{gate.metric} must be > 0",
                           float(value))
 
-    # speedup: environment arming first, then floor, then baseline window.
+    # speedup: environment arming first, then finiteness, floor, and the
+    # baseline window (NaN compares False against every bar).
     value = float(value)
     if gate.min_cpus is not None and record.env.cpu_count < gate.min_cpus:
         return GateResult(
             gate, "skip",
             f"needs >= {gate.min_cpus} CPUs, {record.env.cpu_count} visible",
             value)
+    if not math.isfinite(value):
+        return GateResult(gate, "fail", f"{gate.metric} is not finite", value)
     if gate.floor is not None and value < gate.floor:
         return GateResult(gate, "fail",
                           f"below absolute floor {gate.floor:g}x", value,
@@ -373,17 +378,20 @@ def evaluate_gates(spec: "BenchmarkSpec", record: BenchRecord,
 class BenchmarkSpec:
     """Registry entry for one benchmark script.
 
-    ``name`` is the registry key, ``snapshot`` the legacy latest-run JSON
-    file, ``script`` the generating script under ``benchmarks/``, ``title``
-    a human-readable one-liner and ``gates`` the regression gates evaluated
-    by scripts and ``repro.cli perf check``.
+    ``name`` is the registry key, ``script`` the generating script under
+    ``benchmarks/``, ``title`` a human-readable one-liner and ``gates`` the
+    regression gates evaluated by scripts and ``repro.cli perf check``.
     """
 
     name: str
-    snapshot: str
     script: str
     title: str
     gates: Tuple[GateSpec, ...] = ()
+
+    @property
+    def snapshot(self) -> str:
+        """Default latest-run snapshot file, ``BENCH_<name>.json``."""
+        return f"BENCH_{self.name}.json"
 
 
 #: all eight benchmarks and every CI gate decision, in one place.  Floors
@@ -392,31 +400,29 @@ class BenchmarkSpec:
 BENCHMARKS: Dict[str, BenchmarkSpec] = {
     spec.name: spec for spec in (
         BenchmarkSpec(
-            "injection", "BENCH_injection.json",
-            "bench_injection_throughput.py",
+            "injection", "bench_injection_throughput.py",
             "packed injection engine vs boolean reference",
             gates=(GateSpec("packed_vs_reference_identity", "bit_identical",
                             kind="identity"),
                    GateSpec("headline_cold_speedup", "headline_speedup",
                             floor=3.0))),
         BenchmarkSpec(
-            "inference", "BENCH_inference.json",
-            "bench_inference_throughput.py",
+            "inference", "bench_inference_throughput.py",
             "static-store vs per-read characterization sweep",
             gates=(GateSpec("sweep_speedup", "sweep_speedup", floor=3.0),)),
         BenchmarkSpec(
-            "serving", "BENCH_serving.json", "bench_serving.py",
+            "serving", "bench_serving.py",
             "micro-batched gateway vs batch-1 serial",
             gates=(GateSpec("microbatch_bit_identity", "bit_identical",
                             kind="identity"),
                    GateSpec("microbatch_speedup", "microbatch_speedup",
                             floor=2.0))),
         BenchmarkSpec(
-            "quantized", "BENCH_quantized.json", "bench_quantized.py",
+            "quantized", "bench_quantized.py",
             "fused integer-GEMM plan vs FP32 static store",
             gates=(GateSpec("quantized_speedup", "speedup", floor=2.0),)),
         BenchmarkSpec(
-            "parallel", "BENCH_parallel.json", "bench_parallel.py",
+            "parallel", "bench_parallel.py",
             "shared-memory executor vs serial sweeps",
             gates=(GateSpec("characterization_sweep_identity",
                             "characterization_sweep_identical",
@@ -432,7 +438,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
                             "characterization_sweep_speedup",
                             floor=2.0, min_cpus=4))),
         BenchmarkSpec(
-            "server", "BENCH_server.json", "bench_server.py",
+            "server", "bench_server.py",
             "HTTP front end under generated load",
             gates=(GateSpec("steady_bit_identity", "bit_identical",
                             kind="identity"),
@@ -440,14 +446,14 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
                    GateSpec("burst_admitted_correct", "burst_admitted_correct",
                             kind="identity"))),
         BenchmarkSpec(
-            "router", "BENCH_router.json", "bench_router.py",
+            "router", "bench_router.py",
             "multi-replica router tier scale-out",
             gates=(GateSpec("router_bit_identity", "bit_identical",
                             kind="identity"),
                    GateSpec("scaleout_speedup", "scaleout_speedup",
                             floor=2.0, min_cpus=4))),
         BenchmarkSpec(
-            "ecc", "BENCH_ecc.json", "bench_ecc.py",
+            "ecc", "bench_ecc.py",
             "ECC-corrected weight store vs raw burst corruption",
             gates=(GateSpec("corrected_store_identity", "store_bit_identical",
                             kind="identity"),
@@ -457,19 +463,19 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
 }
 
 
-def write_snapshot(path: Union[str, Path], payload: Mapping[str, object],
-                   record: BenchRecord) -> None:
-    """Write the legacy latest-run snapshot ``payload`` to ``path``, stamped.
+def write_snapshot(path: Union[str, Path], record: BenchRecord,
+                   details: Optional[Mapping[str, object]] = None) -> None:
+    """Write ``record`` to ``path`` as the latest-run snapshot.
 
-    The snapshot keeps its historical shape (``benchmark``, ``headline``,
-    script-specific keys) for backward compatibility and gains a ``perf``
-    block carrying the :class:`BenchRecord` — metrics, units, environment
-    fingerprint and git commit — so a snapshot alone identifies where it
-    was measured.  ``record`` supplies the stamp.
+    The snapshot is :meth:`BenchRecord.to_dict` — the same shape as a
+    history line — plus, when ``details`` is given, a ``details`` key with
+    the script's non-metric tables (sweep grids, per-config rows, serving
+    telemetry).
     """
-    stamped = dict(payload)
-    stamped["perf"] = record.to_dict()
-    Path(path).write_text(json.dumps(stamped, indent=2) + "\n")
+    snapshot = record.to_dict()
+    if details is not None:
+        snapshot["details"] = dict(details)
+    Path(path).write_text(json.dumps(snapshot, indent=2) + "\n")
 
 
 def add_harness_arguments(parser, spec: BenchmarkSpec) -> None:
@@ -505,25 +511,23 @@ def format_gate_results(benchmark: str,
 
 
 def finish_run(spec: BenchmarkSpec, args, metrics: Mapping[str, MetricValue],
-               payload: Mapping[str, object],
                units: Optional[Mapping[str, str]] = None,
-               enforce: str = "hard") -> int:
+               details: Optional[Mapping[str, object]] = None) -> int:
     """Record a benchmark run and evaluate its gates; returns the exit code.
 
     The one epilogue every ``bench_*.py`` script shares: captures the
     environment fingerprint, builds the :class:`BenchRecord` from
-    ``metrics``/``units``, writes the ``args.output`` snapshot (legacy
-    ``payload`` + stamp), appends to the ``args.history`` store, evaluates
-    ``spec``'s gates against the pre-append baseline and prints the gate
-    table.  ``enforce`` selects which failures are fatal: ``"hard"`` (the
-    script default — bit-identity/positive gates only; speedup gates are
-    evaluated and printed, but CI enforces them through one shared
-    ``repro.cli perf check`` step) or ``"all"``.
+    ``metrics``/``units``, writes it (plus ``details``) as the
+    ``args.output`` snapshot, appends it to the ``args.history`` store,
+    evaluates ``spec``'s gates against the pre-append baseline and prints
+    the gate table.  Only hard (identity/positive) gate failures are fatal;
+    speedup gates are printed as warnings here and enforced by the shared
+    ``repro.cli perf check`` step.
     """
     record = BenchRecord.create(spec.name, metrics, units)
     store = HistoryStore(args.history)
     prior = store.load()
-    write_snapshot(args.output, payload, record)
+    write_snapshot(args.output, record, details)
     store.append(record)
     results = evaluate_gates(spec, record, prior)
 
@@ -534,17 +538,15 @@ def finish_run(spec: BenchmarkSpec, args, metrics: Mapping[str, MetricValue],
           f"to {store.path} (commit {record.env.git_commit}, "
           f"{record.env.cpu_count} CPU(s))")
 
-    enforced = [r for r in results
-                if r.failed and (enforce == "all" or r.gate.hard)]
-    advisory = [r for r in results
-                if r.failed and not (enforce == "all" or r.gate.hard)]
-    for result in enforced:
-        print(f"FAIL: {spec.name}/{result.gate.name}: {result.reason}",
-              file=sys.stderr)
-    for result in advisory:
-        print(f"WARN: {spec.name}/{result.gate.name}: {result.reason} "
-              "(enforced by `repro.cli perf check`)", file=sys.stderr)
-    return 1 if enforced else 0
+    failed = [r for r in results if r.failed]
+    for result in failed:
+        if result.gate.hard:
+            print(f"FAIL: {spec.name}/{result.gate.name}: {result.reason}",
+                  file=sys.stderr)
+        else:
+            print(f"WARN: {spec.name}/{result.gate.name}: {result.reason} "
+                  "(enforced by `repro.cli perf check`)", file=sys.stderr)
+    return 1 if any(r.gate.hard for r in failed) else 0
 
 
 def check_benchmarks(history: Union[str, Path] = DEFAULT_HISTORY,

@@ -27,9 +27,11 @@ perf               performance history: trend report, CI gate check, run listing
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from typing import Optional, Sequence
 
+from repro.analysis import perfhistory
 from repro.analysis.reporting import format_table
 
 
@@ -400,8 +402,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.analysis import perfhistory
-
     if args.perf_command == "check":
         results, code = perfhistory.check_benchmarks(args.history,
                                                      args.benchmark)
@@ -446,9 +446,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
             values = [float(entry.metrics[metric]) for entry in comparable
                       if metric in entry.metrics]
             trend = " -> ".join(f"{v:.4g}" for v in values[-5:])
-            baseline = values[:-1][-perfhistory.DEFAULT_WINDOW:]
+            baseline = perfhistory.baseline_window(mine[:-1], latest, metric)
             if baseline:
-                median = sorted(baseline)[len(baseline) // 2]
+                median = statistics.median(baseline)
                 delta = ("n/a" if median == 0 else
                          f"{(float(value) - median) / abs(median):+.1%}")
             else:
@@ -660,9 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
     def _perf_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--history", default="BENCH_history.jsonl",
+        sub.add_argument("--history", default=perfhistory.DEFAULT_HISTORY,
                          help="append-only perf history file (JSONL)")
-        sub.add_argument("--benchmark", nargs="*", default=None,
+        sub.add_argument("--benchmark", nargs="+", default=None,
                          help="restrict to these benchmarks (default: all "
                               "with history entries)")
         sub.set_defaults(handler=cmd_perf)

@@ -24,6 +24,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perf"])
 
+    @pytest.mark.parametrize("sub", ["report", "check", "list"])
+    def test_perf_benchmark_flag_needs_a_name(self, sub, capsys):
+        # A bare --benchmark used to make `perf check` check nothing and pass.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["perf", sub, "--benchmark"])
+        assert excinfo.value.code == 2
+        assert "--benchmark" in capsys.readouterr().err
+
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

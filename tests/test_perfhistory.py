@@ -1,9 +1,11 @@
 """Tests for the perf-history harness (repro.analysis.perfhistory).
 
 Covers the record schema and environment fingerprint, the append-only
-history store, the degradation detector (empty history seeds the baseline,
+history store, the snapshot shape (committed ``BENCH_<name>.json`` files
+included), the degradation detector (empty history seeds the baseline,
 single-entry baselines, environment-mismatch exclusion, exact threshold
-boundaries), the hard/advisory enforcement split of ``finish_run``, and a
+boundaries, non-finite values), the hard/advisory enforcement split of
+``finish_run``, the CI wiring of every registered benchmark, and a
 synthetic injected regression that must fail ``repro.cli perf check``.
 """
 
@@ -13,6 +15,8 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,10 @@ import pytest
 from repro.analysis import perfhistory as ph
 from repro.cli import main as cli_main
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = REPO_ROOT / "benchmarks"
+CI_WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+RECORD_KEYS = {"schema", "benchmark", "timestamp", "env", "metrics", "units"}
 
 
 def make_env(**overrides) -> ph.EnvFingerprint:
@@ -114,23 +121,32 @@ class TestHistoryStore:
 
 
 class TestSnapshot:
-    def test_snapshot_keeps_legacy_shape_and_gains_stamp(self, tmp_path):
+    def test_snapshot_is_the_record_plus_details(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         record = make_record(metrics={"speedup": 3.0})
-        ph.write_snapshot(path, {"benchmark": "x", "headline": {"a": 1}},
-                          record)
+        ph.write_snapshot(path, record, {"sweep": {"0.001": 0.9}})
         data = json.loads(path.read_text())
-        assert data["benchmark"] == "x"          # legacy view untouched
-        assert data["headline"] == {"a": 1}
-        stamp = data["perf"]                     # new: fingerprint + metrics
-        assert stamp["env"]["cpu_count"] == 4
-        assert stamp["env"]["git_commit"] == "abc123"
-        assert stamp["metrics"]["speedup"] == 3.0
-        assert stamp["schema"] == ph.SCHEMA_VERSION
+        assert set(data) == RECORD_KEYS | {"details"}
+        assert data["details"] == {"sweep": {"0.001": 0.9}}
+        del data["details"]
+        assert data == record.to_dict()
+        assert data["schema"] == ph.SCHEMA_VERSION
+        ph.write_snapshot(path, record)          # no details: a history line
+        assert json.loads(path.read_text()) == record.to_dict()
+
+    @pytest.mark.parametrize("name", sorted(ph.BENCHMARKS))
+    def test_committed_snapshot_is_latest_history_record(self, name):
+        assert ph.BENCHMARKS[name].snapshot == f"BENCH_{name}.json"
+        data = json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
+        assert set(data) - {"details"} == RECORD_KEYS
+        data.pop("details", None)
+        lines = (REPO_ROOT / ph.DEFAULT_HISTORY).read_text().splitlines()
+        history = [json.loads(line) for line in lines if line.strip()]
+        assert data == [h for h in history if h["benchmark"] == name][-1]
 
 
 SPEEDUP_GATE = ph.GateSpec("g", "speedup", floor=2.0, tolerance=0.25)
-TOY_SPEC = ph.BenchmarkSpec("toy", "BENCH_toy.json", "bench_toy.py", "toy",
+TOY_SPEC = ph.BenchmarkSpec("toy", "bench_toy.py", "toy",
                             gates=(SPEEDUP_GATE,))
 
 
@@ -224,6 +240,24 @@ class TestDegradationDetector:
         result = one_gate(make_record("toy", {"other": 1.0}), [])
         assert result.failed and "missing" in result.reason
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_speedup_fails(self, value):
+        # NaN slips past `value < floor`; with no baseline it used to PASS.
+        router = ph.BENCHMARKS["router"]
+        record = make_record("router", {"bit_identical": True,
+                                        "scaleout_speedup": value})
+        by_name = {r.gate.name: r
+                   for r in ph.evaluate_gates(router, record, [])}
+        assert by_name["scaleout_speedup"].failed
+        assert "not finite" in by_name["scaleout_speedup"].reason
+
+    def test_non_finite_prior_values_leave_the_window(self):
+        prior = [make_record("toy", {"speedup": v})
+                 for v in (8.0, math.nan, math.inf, 9.0)]
+        record = make_record("toy", {"speedup": 8.4})
+        assert ph.baseline_window(prior, record, "speedup") == [8.0, 9.0]
+        assert one_gate(record, prior).baseline == pytest.approx(8.5)
+
 
 class TestRegistry:
     def test_all_eight_benchmarks_registered(self):
@@ -238,6 +272,46 @@ class TestRegistry:
             source = script.read_text()
             assert "finish_run" in source, spec.script
             assert f'BENCHMARKS["{spec.name}"]' in source, spec.script
+
+    @staticmethod
+    def ci_jobs():
+        """Map each CI job name to its raw lines (jobs sit at indent 2)."""
+        jobs, current = {}, None
+        body = CI_WORKFLOW.read_text().split("\njobs:\n", 1)[1]
+        for line in body.splitlines():
+            header = re.match(r"^  ([\w-]+):\s*$", line)
+            if header:
+                current = jobs.setdefault(header.group(1), [])
+            elif current is not None:
+                current.append(line.strip())
+        return jobs
+
+    @staticmethod
+    def uploaded_paths(lines):
+        """Return the file names listed under every ``path: |`` block."""
+        paths, in_block = set(), False
+        for line in lines:
+            if line == "path: |":
+                in_block = True
+            elif in_block and re.fullmatch(r"[\w./-]+", line):
+                paths.add(line)
+            else:
+                in_block = False
+        return paths
+
+    def test_every_benchmark_is_wired_into_ci(self):
+        jobs = self.ci_jobs()
+        for name, spec in ph.BENCHMARKS.items():
+            runs = re.compile(rf"run: python benchmarks/{re.escape(spec.script)}\b")
+            owners = [job for job, lines in jobs.items()
+                      if any(runs.match(line) for line in lines)]
+            assert len(owners) == 1, (spec.script, owners)
+            lines = jobs[owners[0]]
+            checked = [line.split("--benchmark", 1)[1].split()
+                       for line in lines if "perf check --benchmark" in line]
+            assert any(name in names for names in checked), (name, owners)
+            uploads = self.uploaded_paths(lines)
+            assert {spec.snapshot, ph.DEFAULT_HISTORY} <= uploads, name
 
     def test_identity_gates_are_hard_and_floors_match_ci_history(self):
         floors = {name: {g.metric: g.floor for g in spec.gates
@@ -275,28 +349,29 @@ class TestBenchScripts:
                             "--output", str(output),
                             "--history", str(history)]) == 0
         snapshot = json.loads(output.read_text())
-        assert snapshot["bit_identical"] is True
-        assert snapshot["perf"]["metrics"]["bit_identical"] is True
-        assert len(ph.HistoryStore(history).entries_for("serving")) == 1
+        assert snapshot["metrics"]["bit_identical"] is True
+        assert "telemetry" in snapshot["details"]
+        entries = ph.HistoryStore(history).entries_for("serving")
+        assert len(entries) == 1
+        del snapshot["details"]
+        assert snapshot == entries[0].to_dict()
         assert "perf gates: serving" in capsys.readouterr().out
 
 
 class TestFinishRun:
-    def run(self, tmp_path, metrics, spec, enforce="hard", prior=()):
+    def run(self, tmp_path, metrics, spec, details=None):
         args = argparse.Namespace(output=str(tmp_path / "snap.json"),
                                   history=str(tmp_path / "hist.jsonl"))
-        store = ph.HistoryStore(args.history)
-        for record in prior:
-            store.append(record)
-        code = ph.finish_run(spec, args, metrics, {"benchmark": "toy"},
-                             enforce=enforce)
+        code = ph.finish_run(spec, args, metrics, details=details)
         return code, args
 
     def test_writes_snapshot_and_appends_history(self, tmp_path, capsys):
-        code, args = self.run(tmp_path, {"speedup": 9.0}, TOY_SPEC)
+        code, args = self.run(tmp_path, {"speedup": 9.0}, TOY_SPEC,
+                              details={"rows": [1, 2]})
         assert code == 0
-        assert json.loads(Path(args.output).read_text())["perf"]["metrics"] \
-            == {"speedup": 9.0}
+        snapshot = json.loads(Path(args.output).read_text())
+        assert snapshot["metrics"] == {"speedup": 9.0}
+        assert snapshot["details"] == {"rows": [1, 2]}
         assert len(ph.HistoryStore(args.history).entries_for("toy")) == 1
         assert "perf gates: toy" in capsys.readouterr().out
 
@@ -309,11 +384,8 @@ class TestFinishRun:
 
     def test_speedup_failure_is_advisory_for_scripts(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, {"speedup": 1.0}, TOY_SPEC)
-        assert code == 0      # scripts only die on hard gates...
+        assert code == 0      # scripts only die on hard gates
         assert "WARN" in capsys.readouterr().err
-        code, _ = self.run(tmp_path, {"speedup": 1.0}, TOY_SPEC,
-                           enforce="all")
-        assert code == 1      # ...perf check enforces everything
 
     def test_failed_run_is_still_recorded(self, tmp_path):
         spec = dataclasses.replace(TOY_SPEC, gates=(
@@ -371,6 +443,20 @@ class TestPerfCheck:
         by_name = {r.gate.name: r for r in results["injection"]}
         assert by_name["headline_cold_speedup"].value == pytest.approx(8.8)
         assert by_name["headline_cold_speedup"].baseline == pytest.approx(9.05)
+
+    def test_report_median_matches_gate_baseline(self, tmp_path, capsys):
+        hist = tmp_path / "hist.jsonl"
+        env = ph.EnvFingerprint.capture()
+        seeded_history(hist, "injection", "headline_speedup",
+                       [9.0, 9.1, 8.8], env=env)
+        results, _ = ph.check_benchmarks(hist, ["injection"])
+        gate = {r.gate.name: r for r in results["injection"]}
+        baseline = gate["headline_cold_speedup"].baseline
+        assert baseline == pytest.approx(9.05)     # even window: true median
+        assert cli_main(["perf", "report", "--history", str(hist)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if "headline_speedup" in line)
+        assert f"{(8.8 - baseline) / baseline:+.1%}" in row
 
     def test_cli_report_and_list(self, tmp_path, capsys):
         hist = tmp_path / "hist.jsonl"
