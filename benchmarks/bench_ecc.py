@@ -5,9 +5,9 @@ Materializes the same burst-corrupted weight store (Error Model 4) twice
 with the RS(72,64)-class codec in the loop and checks the post-correction
 stores are bit-identical for a fixed seed, then sweeps a BER grid scoring
 the model raw vs corrected under identical injection streams.  Records
-everything through the shared perf-history harness
+everything through the shared benchmark harness
 (:mod:`repro.analysis.perfhistory`) — the ``BENCH_ecc.json`` latest-run
-snapshot plus an append-only ``BENCH_history.jsonl`` entry:
+snapshot:
 
 * **corrected-store bit identity** — same (error model, seed, codec) must
   reproduce the exact corrected store bytes (hard identity gate);
@@ -17,7 +17,7 @@ snapshot plus an append-only ``BENCH_history.jsonl`` entry:
 
 The headline is the raw vs corrected accuracy split at ``--ber``.  Usage::
 
-    python benchmarks/bench_ecc.py [--output PATH] [--history PATH]
+    python benchmarks/bench_ecc.py [--output PATH]
         [--model NAME] [--epochs N] [--seed N] [--ber B] [--bers B...]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): both gates are

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Macro-benchmark: the inference engine's static-store vs per-read semantics.
 
-Measures two things and records them through the shared perf-history
+Measures two things and records them through the shared benchmark
 harness (:mod:`repro.analysis.perfhistory`) — the ``BENCH_inference.json``
-latest-run snapshot plus an append-only ``BENCH_history.jsonl`` entry:
+latest-run snapshot:
 
 * **Characterization sweep** (the headline) — wall clock of a coarse
   characterization-style BER sweep of the weight store (weights in
@@ -20,7 +20,7 @@ latest-run snapshot plus an append-only ``BENCH_history.jsonl`` entry:
 Usage::
 
     python benchmarks/bench_inference_throughput.py [--output PATH]
-        [--history PATH] [--model NAME] [--batch-size N]
+        [--model NAME] [--batch-size N]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): sweep-speedup
 regressions are enforced by ``repro.cli perf check``.

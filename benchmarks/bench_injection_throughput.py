@@ -3,14 +3,13 @@
 
 Measures end-to-end ``inject_bit_errors`` throughput (values/second) on the
 acceptance configuration — a 1M-element FP32 tensor at BER 1e-4 — plus a few
-secondary points, and records the run through the shared perf-history
+secondary points, and records the run through the shared benchmark
 harness (:mod:`repro.analysis.perfhistory`): the ``BENCH_injection.json``
-latest-run snapshot plus an append-only ``BENCH_history.jsonl`` entry.
+latest-run snapshot.
 
 Usage::
 
-    python benchmarks/bench_injection_throughput.py [--output PATH]
-        [--history PATH] [--size N]
+    python benchmarks/bench_injection_throughput.py [--output PATH] [--size N]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): the
 packed-vs-reference bit-identity gate fails the run unconditionally;

@@ -2,9 +2,8 @@
 """Macro-benchmark: the shared-memory parallel executor vs serial sweeps.
 
 Measures :mod:`repro.parallel` end to end and records it through the shared
-perf-history harness (:mod:`repro.analysis.perfhistory`) — the
-``BENCH_parallel.json`` latest-run snapshot plus an append-only
-``BENCH_history.jsonl`` entry:
+benchmark harness (:mod:`repro.analysis.perfhistory`) — the
+``BENCH_parallel.json`` latest-run snapshot:
 
 * **Characterization sweep, serial vs N workers** (the headline) — the
   coarse characterization's full BER grid scored through one
@@ -27,7 +26,7 @@ seeded, so both runs of every comparison are deterministic.
 
 Usage::
 
-    python benchmarks/bench_parallel.py [--output PATH] [--history PATH]
+    python benchmarks/bench_parallel.py [--output PATH]
         [--model NAME] [--processes N]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): every
@@ -39,7 +38,6 @@ environment-aware (skipped below 4 visible CPUs) and enforced by
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -53,6 +51,7 @@ from repro.analysis.perfhistory import (  # noqa: E402
     BENCHMARKS,
     add_harness_arguments,
     finish_run,
+    visible_cpu_count,
 )
 from repro.analysis.runner import ExperimentRunner  # noqa: E402
 from repro.core.characterization import (  # noqa: E402
@@ -232,7 +231,7 @@ def main() -> int:
     record = measure_parallel(args.model, processes=args.processes,
                               epochs=args.epochs, seed=args.seed)
     print(f"{args.model}: serial vs {args.processes} shared-memory workers "
-          f"({os.cpu_count()} CPUs visible)")
+          f"({visible_cpu_count()} CPUs visible)")
     print(f"  characterization sweep   "
           f"{record['characterization_sweep_serial_seconds']:7.2f} s -> "
           f"{record['characterization_sweep_parallel_seconds']:7.2f} s "

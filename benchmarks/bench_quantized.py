@@ -3,9 +3,9 @@
 
 Measures serving-shaped dispatch throughput (``predict(pad_to=...)`` one
 micro-batch at a time) through both execution paths of the same zoo model
-and records it through the shared perf-history harness
+and records it through the shared benchmark harness
 (:mod:`repro.analysis.perfhistory`) — the ``BENCH_quantized.json``
-latest-run snapshot plus an append-only ``BENCH_history.jsonl`` entry:
+latest-run snapshot:
 
 * **FP32 static store** — the historical serving configuration: weights
   stored as corrupted float32, forwards on the training kernels.
@@ -16,7 +16,7 @@ latest-run snapshot plus an append-only ``BENCH_history.jsonl`` entry:
 
 The headline is the int8/FP32 dispatch-rate ratio.  Usage::
 
-    python benchmarks/bench_quantized.py [--output PATH] [--history PATH]
+    python benchmarks/bench_quantized.py [--output PATH]
         [--model NAME] [--dtype D] [--pad-to N] [--rows N] [--passes N]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): speedup

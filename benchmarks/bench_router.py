@@ -6,9 +6,8 @@ processes from ONE shared-memory plan export (no per-replica recompile or
 re-materialization), fronts them with
 :class:`repro.serve.router.RouterServer`, drives the router with the
 deterministic load harness and records the run through the shared
-perf-history harness (:mod:`repro.analysis.perfhistory`) — the
-``BENCH_router.json`` latest-run snapshot plus an append-only
-``BENCH_history.jsonl`` entry:
+benchmark harness (:mod:`repro.analysis.perfhistory`) — the
+``BENCH_router.json`` latest-run snapshot:
 
 * **Bit-identity gate** (always enforced) — the steady scenario through
   the router, balanced across all replicas, must be tobytes-identical to
@@ -23,14 +22,13 @@ perf-history harness (:mod:`repro.analysis.perfhistory`) — the
 
 Usage::
 
-    python benchmarks/bench_router.py [--output PATH] [--history PATH]
+    python benchmarks/bench_router.py [--output PATH]
         [--model NAME] [--requests N] [--replicas N] [--concurrency N]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -42,6 +40,7 @@ from repro.analysis.perfhistory import (  # noqa: E402
     BENCHMARKS,
     add_harness_arguments,
     finish_run,
+    visible_cpu_count,
 )
 from repro.parallel.plan import export_session_plan              # noqa: E402
 from repro.serve import loadgen                                  # noqa: E402
@@ -120,7 +119,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cpus = os.cpu_count() or 1
+    cpus = visible_cpu_count()
     gateway, session, dataset = build_serving_gateway(
         args.model, ber=args.ber, seed=args.seed,
         max_batch=args.max_batch, max_wait_ms=2.0, dtype=args.dtype)

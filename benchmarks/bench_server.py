@@ -4,9 +4,8 @@
 Stands a real :class:`repro.serve.server.InferenceServer` up around an
 in-process gateway, drives it with the deterministic load-generation
 harness (``repro.serve.loadgen``) and records the run through the shared
-perf-history harness (:mod:`repro.analysis.perfhistory`) — the
-``BENCH_server.json`` latest-run snapshot plus an append-only
-``BENCH_history.jsonl`` entry:
+benchmark harness (:mod:`repro.analysis.perfhistory`) — the
+``BENCH_server.json`` latest-run snapshot:
 
 * **Steady scenario + bit-identity gate** (the headline) — a closed-loop
   client covers every request exactly once; the full HTTP response set
@@ -22,7 +21,7 @@ perf-history harness (:mod:`repro.analysis.perfhistory`) — the
 
 Usage::
 
-    python benchmarks/bench_server.py [--output PATH] [--history PATH]
+    python benchmarks/bench_server.py [--output PATH]
         [--model NAME] [--requests N] [--queue-depth N] [--burst N]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): all three

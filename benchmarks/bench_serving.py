@@ -2,9 +2,8 @@
 """Macro-benchmark: the serving gateway vs batch-1 per-request serving.
 
 Measures the serving stack end to end and records it through the shared
-perf-history harness (:mod:`repro.analysis.perfhistory`) — the
-``BENCH_serving.json`` latest-run snapshot plus an append-only
-``BENCH_history.jsonl`` entry:
+benchmark harness (:mod:`repro.analysis.perfhistory`) — the
+``BENCH_serving.json`` latest-run snapshot:
 
 * **Micro-batched vs batch-1 serial** (the headline) — wall clock of serving
   N single-sample requests through the dynamic micro-batcher (coalesced
@@ -28,7 +27,7 @@ measurement of the serving stack.
 
 Usage::
 
-    python benchmarks/bench_serving.py [--output PATH] [--history PATH]
+    python benchmarks/bench_serving.py [--output PATH]
         [--model NAME] [--requests N] [--max-batch N]
 
 Gate policy (registry + semantics: ``docs/benchmarks.md``): the

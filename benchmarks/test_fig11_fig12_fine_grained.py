@@ -10,6 +10,8 @@ Paper results reproduced in shape:
   aggressively reduced partitions.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,19 +22,27 @@ from repro.core.config import EdenConfig
 from benchmarks.conftest import BASELINE_EPOCHS, print_header, run_once
 
 
-@pytest.fixture(scope="module")
-def fine_characterization():
+@functools.lru_cache(maxsize=None)
+def resnet_fine_characterization():
+    """Figure 11's per-tensor characterization, computed once per session.
+
+    The run is deterministic (seed 0), so Figure 12 maps the result Figure
+    11 already produced instead of repeating the same four-minute search;
+    Figure 11 (first in file order) times the real computation.
+    """
     config = EdenConfig(evaluation_repeats=1, fine_max_rounds=4,
                         fine_validation_fraction=0.5, seed=0)
     return fig11_fine_characterization("resnet101", epochs=BASELINE_EPOCHS, config=config)
 
 
+@pytest.fixture(scope="module")
+def fine_characterization():
+    return resnet_fine_characterization()
+
+
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_per_tensor_tolerable_ber(benchmark):
-    config = EdenConfig(evaluation_repeats=1, fine_max_rounds=4,
-                        fine_validation_fraction=0.5, seed=0)
-    fine = run_once(benchmark, fig11_fine_characterization,
-                    "resnet101", epochs=BASELINE_EPOCHS, config=config)
+    fine = run_once(benchmark, resnet_fine_characterization)
 
     ordered = sorted(fine.specs, key=lambda s: s.layer_index)
     print_header("Figure 11: per-tensor tolerable BER (ResNet analogue)")

@@ -8,10 +8,10 @@
 * :mod:`repro.analysis.tables`    — structured rows for each table;
 * :mod:`repro.analysis.reporting` — plain-text rendering used by the examples
   and the benchmark harness (no plotting dependencies are available offline);
-* :mod:`repro.analysis.perfhistory` — the perf-history harness behind every
+* :mod:`repro.analysis.perfhistory` — the benchmark harness behind every
   ``benchmarks/bench_*.py`` script: benchmark/gate registry, environment
-  fingerprints, the append-only ``BENCH_history.jsonl`` store, and
-  baseline-window degradation gates (see ``docs/benchmarks.md``).
+  fingerprints, ``BENCH_<name>.json`` run records, and the regression
+  gates evaluated on each record (see ``docs/benchmarks.md``).
 """
 
 from repro.analysis.runner import ExperimentRunner

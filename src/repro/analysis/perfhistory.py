@@ -1,35 +1,31 @@
-"""Continuous performance history: the shared harness behind ``benchmarks/``.
+"""Benchmark records and regression gates: the shared harness behind ``benchmarks/``.
 
-Every ``benchmarks/bench_*.py`` script used to hand-roll the same four jobs:
-argparse scaffolding, a ``BENCH_*.json`` snapshot that the next run silently
-overwrote, ad-hoc ``--check-*`` threshold flags, and per-script environment
-hacks ("auto-skip the speedup gate at 1 CPU").  This module owns all of it,
-modeled on perun-style "performance version systems": per-commit profiles
-plus degradation detection against history instead of fixed thresholds.
+Every ``benchmarks/bench_*.py`` script used to hand-roll the same jobs:
+argparse scaffolding, a bespoke ``BENCH_*.json`` payload, ad-hoc
+``--check-*`` threshold flags, and per-script environment hacks
+("auto-skip the speedup gate at 1 CPU").  This module owns all of it.
 
 The pieces
 ----------
 
-* :class:`EnvFingerprint` — where a measurement ran: CPU count, Python /
-  NumPy / BLAS versions, machine, git commit.  Two fingerprints are
-  *compatible* when everything but the commit matches, so a 1-CPU container
-  run can never be compared against a 4-CPU CI run.
+* :class:`EnvFingerprint` — where a measurement ran: the CPUs visible to
+  the process, Python / NumPy / BLAS versions, machine, git commit.  It
+  stamps every record, and its CPU count arms ``min_cpus`` gates.
 * :class:`BenchRecord` — one benchmark run: flat ``metrics`` (floats and
-  bools), ``units``, the fingerprint, a timestamp.
-* :class:`HistoryStore` — the append-only per-commit store
-  (``BENCH_history.jsonl``, one record per line).  Each ``BENCH_<name>.json``
-  snapshot is the latest run's record in the same shape, plus an optional
+  bools), ``units``, the fingerprint, a timestamp.  Each
+  ``BENCH_<name>.json`` snapshot is the run's record plus an optional
   ``details`` blob of script-specific tables (see :func:`write_snapshot`).
-* :class:`GateSpec` / :func:`evaluate_gates` — the degradation detector.
-  ``identity``/``positive`` gates are unconditional hard failures;
-  ``speedup`` gates compare against the median of a baseline window of
-  prior runs from a compatible environment (± tolerance), keep the CI
-  floor as an absolute minimum, and *skip* (rather than silently pass)
-  when the environment cannot express the measurement — the one documented
-  skip policy, see ``docs/benchmarks.md``.
+* :class:`GateSpec` / :func:`evaluate_gates` — the regression gates, read
+  from the gated record alone.  ``identity``/``positive`` gates are
+  unconditional hard failures; ``speedup`` gates must be finite and clear
+  an absolute floor, and *skip* (rather than silently pass) when the
+  environment cannot express the measurement — the one documented skip
+  policy, see ``docs/benchmarks.md``.  Comparing a change against its
+  parent commit is ``perfbench/``'s job: it runs both back to back on one
+  machine.
 * :data:`BENCHMARKS` — the registry of all eight benchmarks and their
-  gates; ``repro.cli perf {report,check,list}`` renders trends and
-  evaluates gates from it.
+  gates; ``repro.cli perf check`` evaluates them over the snapshots in the
+  working directory.
 
 Scripts call :func:`add_harness_arguments` and :func:`finish_run`; CI calls
 ``python -m repro.cli perf check``.
@@ -42,7 +38,6 @@ import json
 import math
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -52,18 +47,20 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 MetricValue = Union[float, int, bool]
 
-#: current on-disk schema version of history entries and snapshot stamps.
+#: current on-disk schema version of benchmark records.
 SCHEMA_VERSION = 1
 
-#: default file the append-only history lives in (one JSON object per line).
-DEFAULT_HISTORY = "BENCH_history.jsonl"
 
-#: baseline window: how many prior compatible runs feed the median.
-DEFAULT_WINDOW = 5
+def visible_cpu_count() -> int:
+    """Return how many CPUs this process may run on.
 
-#: tolerated fractional drop below the baseline-window median before a
-#: speedup gate fails (shared-runner wall clocks are noisy).
-DEFAULT_TOLERANCE = 0.25
+    ``os.sched_getaffinity`` honours ``taskset`` and cpuset limits, which
+    ``os.cpu_count()`` (the whole machine) ignores; platforms without it
+    fall back to ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _blas_name() -> str:
@@ -102,12 +99,12 @@ def _git_commit() -> str:
 
 @dataclass(frozen=True)
 class EnvFingerprint:
-    """Environment a benchmark ran in, for trajectory and compatibility.
+    """Environment a benchmark ran in, stamped on every record.
 
-    ``cpu_count``, ``python``, ``numpy``, ``blas`` and ``machine`` define
-    *compatibility* (measurements are only comparable across runs where all
-    five match; ``python`` matches at major.minor); ``git_commit`` stamps
-    the trajectory but never affects compatibility.
+    ``cpu_count`` is the number of CPUs visible to the process (see
+    :func:`visible_cpu_count`) and arms ``min_cpus`` gates; ``python``,
+    ``numpy``, ``blas``, ``machine`` and ``git_commit`` say where and on
+    what code the measurement ran.
     """
 
     cpu_count: int
@@ -122,27 +119,12 @@ class EnvFingerprint:
         """Capture the current process environment as a fingerprint and return it."""
         import numpy as np
 
-        return cls(cpu_count=os.cpu_count() or 1,
+        return cls(cpu_count=visible_cpu_count(),
                    python=platform.python_version(),
                    numpy=np.__version__,
                    blas=_blas_name(),
                    machine=platform.machine(),
                    git_commit=_git_commit())
-
-    def _python_minor(self) -> str:
-        return ".".join(self.python.split(".")[:2])
-
-    def compatible_with(self, other: "EnvFingerprint") -> bool:
-        """Return whether measurements from ``other`` are comparable to ours.
-
-        Everything except ``git_commit`` must match; Python versions are
-        compared at major.minor granularity.
-        """
-        return (self.cpu_count == other.cpu_count
-                and self._python_minor() == other._python_minor()
-                and self.numpy == other.numpy
-                and self.blas == other.blas
-                and self.machine == other.machine)
 
     def to_dict(self) -> Dict[str, object]:
         """Return the fingerprint as a JSON-ready dict."""
@@ -190,7 +172,7 @@ class BenchRecord:
                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
 
     def to_dict(self) -> Dict[str, object]:
-        """Return the record as a JSON-ready dict (the history-line shape)."""
+        """Return the record as a JSON-ready dict (the snapshot shape)."""
         return {"schema": SCHEMA_VERSION,
                 "benchmark": self.benchmark,
                 "timestamp": self.timestamp,
@@ -200,69 +182,15 @@ class BenchRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "BenchRecord":
-        """Rebuild a record from a parsed history line ``data`` and return it."""
+        """Rebuild a record from a parsed snapshot ``data`` and return it.
+
+        Keys outside the record shape (a snapshot's ``details``) are ignored.
+        """
         return cls(benchmark=str(data.get("benchmark", "")),
                    metrics=dict(data.get("metrics", {})),  # type: ignore[arg-type]
                    units=dict(data.get("units", {})),      # type: ignore[arg-type]
                    env=EnvFingerprint.from_dict(data.get("env", {})),  # type: ignore[arg-type]
                    timestamp=str(data.get("timestamp", "")))
-
-
-class HistoryStore:
-    """Append-only per-commit benchmark history (``BENCH_history.jsonl``).
-
-    One JSON object per line, oldest first; :meth:`append` only ever adds a
-    line, so prior entries are immutable — the degradation detector's
-    baseline windows are read from here.  ``path`` is the history file
-    location (created on first append).
-    """
-
-    def __init__(self, path: Union[str, Path] = DEFAULT_HISTORY) -> None:
-        self.path = Path(path)
-
-    def load(self) -> List[BenchRecord]:
-        """Return every parseable record in the history, oldest first.
-
-        A missing file is an empty history; unparseable lines are skipped
-        rather than poisoning every future gate evaluation.
-        """
-        if not self.path.exists():
-            return []
-        records: List[BenchRecord] = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(BenchRecord.from_dict(json.loads(line)))
-            except (ValueError, TypeError):
-                continue
-        return records
-
-    def append(self, record: BenchRecord) -> None:
-        """Append ``record`` as one new line; existing lines are never touched."""
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(record.to_dict()) + "\n")
-
-    def entries_for(self, benchmark: str) -> List[BenchRecord]:
-        """Return the history entries of ``benchmark`` only, oldest first."""
-        return [r for r in self.load() if r.benchmark == benchmark]
-
-
-def baseline_window(prior: Sequence[BenchRecord], record: BenchRecord,
-                    metric: str, window: int = DEFAULT_WINDOW) -> List[float]:
-    """Baseline values for ``metric`` of ``record`` from prior runs.
-
-    Filters ``prior`` down to entries of the same benchmark whose
-    environment is compatible with ``record.env`` and that carry a finite
-    ``metric``, then returns the most recent ``window`` values (oldest
-    first).  A NaN that reached the history never skews a later median.
-    """
-    values = [float(entry.metrics[metric]) for entry in prior
-              if entry.benchmark == record.benchmark
-              and metric in entry.metrics
-              and entry.env.compatible_with(record.env)]
-    return [value for value in values if math.isfinite(value)][-window:]
 
 
 @dataclass(frozen=True)
@@ -272,9 +200,8 @@ class GateSpec:
     ``kind`` selects the semantics: ``"identity"`` (metric must be truthy —
     bit-identity style, unconditional hard failure), ``"positive"`` (metric
     must be ``> 0`` — e.g. a burst must shed, also hard), or ``"speedup"``
-    (higher-is-better: must clear the absolute ``floor`` when set, and must
-    not drop more than ``tolerance`` below the median of the last ``window``
-    compatible history entries).  ``name`` labels the gate in reports,
+    (higher-is-better: must be finite and clear the absolute ``floor`` when
+    set).  ``name`` labels the gate in reports,
     ``metric`` names the gated metric, and ``min_cpus`` (speedup gates only)
     skips the gate outright on machines with fewer visible CPUs — the
     environment-aware replacement for the old per-script auto-skip hacks.
@@ -285,8 +212,6 @@ class GateSpec:
     kind: str = "speedup"
     floor: Optional[float] = None
     min_cpus: Optional[int] = None
-    window: int = DEFAULT_WINDOW
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def hard(self) -> bool:
@@ -300,15 +225,14 @@ class GateResult:
 
     ``status`` is ``"pass"``, ``"fail"`` or ``"skip"``; ``reason`` is the
     human-readable explanation; ``value`` the measured metric (``None`` when
-    missing); ``baseline`` the window median and ``threshold`` the effective
-    pass bar, when a baseline existed.  ``gate`` is the spec evaluated.
+    missing); ``threshold`` the floor a speedup gate is held to, when it
+    has one.  ``gate`` is the spec evaluated.
     """
 
     gate: GateSpec
     status: str
     reason: str
     value: Optional[float] = None
-    baseline: Optional[float] = None
     threshold: Optional[float] = None
 
     @property
@@ -317,8 +241,7 @@ class GateResult:
         return self.status == "fail"
 
 
-def _evaluate_gate(gate: GateSpec, record: BenchRecord,
-                   prior: Sequence[BenchRecord]) -> GateResult:
+def _evaluate_gate(gate: GateSpec, record: BenchRecord) -> GateResult:
     value = record.metrics.get(gate.metric)
     if value is None:
         return GateResult(gate, "fail",
@@ -333,8 +256,8 @@ def _evaluate_gate(gate: GateSpec, record: BenchRecord,
         return GateResult(gate, "fail", f"{gate.metric} must be > 0",
                           float(value))
 
-    # speedup: environment arming first, then finiteness, floor, and the
-    # baseline window (NaN compares False against every bar).
+    # speedup: environment arming first, then finiteness (NaN compares
+    # False against every bar), then the floor.
     value = float(value)
     if gate.min_cpus is not None and record.env.cpu_count < gate.min_cpus:
         return GateResult(
@@ -343,35 +266,20 @@ def _evaluate_gate(gate: GateSpec, record: BenchRecord,
             value)
     if not math.isfinite(value):
         return GateResult(gate, "fail", f"{gate.metric} is not finite", value)
-    if gate.floor is not None and value < gate.floor:
+    if gate.floor is None:
+        return GateResult(gate, "pass", "finite", value)
+    if value < gate.floor:
         return GateResult(gate, "fail",
                           f"below absolute floor {gate.floor:g}x", value,
                           threshold=gate.floor)
-    baseline = baseline_window(prior, record, gate.metric, gate.window)
-    if not baseline:
-        return GateResult(gate, "pass",
-                          "no compatible baseline - this run seeds it", value)
-    median = statistics.median(baseline)
-    threshold = median * (1.0 - gate.tolerance)
-    if value >= threshold:
-        return GateResult(gate, "pass",
-                          f"within {gate.tolerance:.0%} of window median",
-                          value, baseline=median, threshold=threshold)
-    return GateResult(
-        gate, "fail",
-        f"degraded: below window median {median:.3g} by more than "
-        f"{gate.tolerance:.0%} (n={len(baseline)})",
-        value, baseline=median, threshold=threshold)
+    return GateResult(gate, "pass", f"clears floor {gate.floor:g}x", value,
+                      threshold=gate.floor)
 
 
-def evaluate_gates(spec: "BenchmarkSpec", record: BenchRecord,
-                   prior: Sequence[BenchRecord]) -> List[GateResult]:
-    """Evaluate every gate of ``spec`` against ``record`` and return the results.
-
-    ``prior`` is the history *before* ``record`` was appended (the baseline
-    pool); incompatible-environment entries are filtered per gate.
-    """
-    return [_evaluate_gate(gate, record, prior) for gate in spec.gates]
+def evaluate_gates(spec: "BenchmarkSpec",
+                   record: BenchRecord) -> List[GateResult]:
+    """Evaluate every gate of ``spec`` against ``record`` alone; return the results."""
+    return [_evaluate_gate(gate, record) for gate in spec.gates]
 
 
 @dataclass(frozen=True)
@@ -467,10 +375,9 @@ def write_snapshot(path: Union[str, Path], record: BenchRecord,
                    details: Optional[Mapping[str, object]] = None) -> None:
     """Write ``record`` to ``path`` as the latest-run snapshot.
 
-    The snapshot is :meth:`BenchRecord.to_dict` — the same shape as a
-    history line — plus, when ``details`` is given, a ``details`` key with
-    the script's non-metric tables (sweep grids, per-config rows, serving
-    telemetry).
+    The snapshot is :meth:`BenchRecord.to_dict` plus, when ``details`` is
+    given, a ``details`` key with the script's non-metric tables (sweep
+    grids, per-config rows, serving telemetry).
     """
     snapshot = record.to_dict()
     if details is not None:
@@ -479,15 +386,12 @@ def write_snapshot(path: Union[str, Path], record: BenchRecord,
 
 
 def add_harness_arguments(parser, spec: BenchmarkSpec) -> None:
-    """Install the shared ``--output`` / ``--history`` options on ``parser``.
+    """Install the shared ``--output`` option on ``parser``.
 
-    ``spec`` provides the default snapshot filename; ``--history`` defaults
-    to :data:`DEFAULT_HISTORY`.
+    ``spec`` provides the default snapshot filename.
     """
     parser.add_argument("--output", default=spec.snapshot,
                         help="where to write the latest-run JSON snapshot")
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="append-only perf history file (JSONL)")
 
 
 def format_gate_results(benchmark: str,
@@ -498,11 +402,7 @@ def format_gate_results(benchmark: str,
     rows = []
     for result in results:
         value = "-" if result.value is None else f"{result.value:.4g}"
-        bar = ""
-        if result.threshold is not None:
-            bar = f">= {result.threshold:.3g}"
-            if result.baseline is not None:
-                bar += f" (median {result.baseline:.3g})"
+        bar = "" if result.threshold is None else f">= {result.threshold:.3g}"
         rows.append((result.gate.name, result.gate.kind, value, bar,
                      result.status.upper(), result.reason))
     return format_table(
@@ -518,25 +418,19 @@ def finish_run(spec: BenchmarkSpec, args, metrics: Mapping[str, MetricValue],
     The one epilogue every ``bench_*.py`` script shares: captures the
     environment fingerprint, builds the :class:`BenchRecord` from
     ``metrics``/``units``, writes it (plus ``details``) as the
-    ``args.output`` snapshot, appends it to the ``args.history`` store,
-    evaluates ``spec``'s gates against the pre-append baseline and prints
-    the gate table.  Only hard (identity/positive) gate failures are fatal;
-    speedup gates are printed as warnings here and enforced by the shared
-    ``repro.cli perf check`` step.
+    ``args.output`` snapshot, evaluates ``spec``'s gates on that record and
+    prints the gate table.  Only hard (identity/positive) gate failures are
+    fatal; speedup gates are printed as warnings here and enforced by the
+    shared ``repro.cli perf check`` step.
     """
     record = BenchRecord.create(spec.name, metrics, units)
-    store = HistoryStore(args.history)
-    prior = store.load()
     write_snapshot(args.output, record, details)
-    store.append(record)
-    results = evaluate_gates(spec, record, prior)
+    results = evaluate_gates(spec, record)
 
     print()
     print(format_gate_results(spec.name, results))
-    print(f"\nwrote {args.output}; appended run #"
-          f"{len([r for r in prior if r.benchmark == spec.name]) + 1} "
-          f"to {store.path} (commit {record.env.git_commit}, "
-          f"{record.env.cpu_count} CPU(s))")
+    print(f"\nwrote {args.output} (commit {record.env.git_commit}, "
+          f"{record.env.cpu_count} CPU(s) visible)")
 
     failed = [r for r in results if r.failed]
     for result in failed:
@@ -549,19 +443,17 @@ def finish_run(spec: BenchmarkSpec, args, metrics: Mapping[str, MetricValue],
     return 1 if any(r.gate.hard for r in failed) else 0
 
 
-def check_benchmarks(history: Union[str, Path] = DEFAULT_HISTORY,
-                     benchmarks: Optional[Sequence[str]] = None,
+def check_benchmarks(benchmarks: Optional[Sequence[str]] = None,
                      ) -> Tuple[Dict[str, List[GateResult]], int]:
-    """Evaluate every gate of the selected benchmarks' latest history runs.
+    """Evaluate every gate of the selected benchmarks' snapshots.
 
-    ``history`` locates the store; ``benchmarks`` restricts the set (default:
-    every registered benchmark that has at least one history entry — naming a
-    benchmark explicitly makes a missing record a failure).  Returns
+    Each benchmark's record is read from its ``BENCH_<name>.json`` snapshot
+    in the working directory.  ``benchmarks`` restricts the set (default:
+    every registered benchmark with a snapshot — naming a benchmark
+    explicitly makes a missing snapshot a failure).  Returns
     ``(results_by_benchmark, exit_code)`` where the exit code is non-zero on
     any failed gate of any kind — this is the single CI gate step.
     """
-    store = HistoryStore(history)
-    entries = store.load()
     explicit = benchmarks is not None
     names = list(benchmarks) if explicit else list(BENCHMARKS)
 
@@ -574,16 +466,14 @@ def check_benchmarks(history: Union[str, Path] = DEFAULT_HISTORY,
                   f"(known: {', '.join(sorted(BENCHMARKS))})", file=sys.stderr)
             exit_code = 1
             continue
-        last_index = max((i for i, r in enumerate(entries)
-                          if r.benchmark == name), default=None)
-        if last_index is None:
+        path = Path(spec.snapshot)
+        if not path.exists():
             if explicit:
-                print(f"FAIL: no history entry for {name!r} in {store.path}",
-                      file=sys.stderr)
+                print(f"FAIL: no snapshot {path} for {name!r}", file=sys.stderr)
                 exit_code = 1
             continue
-        latest, prior = entries[last_index], entries[:last_index]
-        results = evaluate_gates(spec, latest, prior)
+        record = BenchRecord.from_dict(json.loads(path.read_text()))
+        results = evaluate_gates(spec, record)
         all_results[name] = results
         if any(r.failed for r in results):
             exit_code = 1

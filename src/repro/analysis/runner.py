@@ -129,8 +129,8 @@ class ExperimentRunner:
             return self._sweep_executor().score_repeats(
                 injector, repeats=repeats, seed=seed, stride=stride,
                 dataset=self._executor_dataset(dataset))
-        return self.session.score(injector, repeats=repeats, seed=seed,
-                                  stride=stride, dataset=dataset)
+        return self.session.evaluate(dataset, injector=injector,
+                                     repeats=repeats, seed=seed, stride=stride)
 
     def evaluate(self, injector=None, *, repeats: Optional[int] = None,
                  seed: Optional[int] = None, stride: Optional[int] = None,
@@ -222,11 +222,13 @@ class ExperimentRunner:
             point_model = error_model.with_ber(ber)
             raw_injector.set_error_model(point_model)
             ecc_injector.set_error_model(point_model)
-            raw = self.session.score(raw_injector, repeats=repeats,
-                                     seed=seed, stride=stride)
+            raw = self.session.evaluate(injector=raw_injector,
+                                        repeats=repeats, seed=seed,
+                                        stride=stride)
             before = {key: ecc_injector.ecc_stats[key] for key in counters}
-            corrected = self.session.score(ecc_injector, repeats=repeats,
-                                           seed=seed, stride=stride)
+            corrected = self.session.evaluate(injector=ecc_injector,
+                                              repeats=repeats, seed=seed,
+                                              stride=stride)
             point = {"raw": raw, "corrected": corrected}
             for key in counters:
                 point[key] = int(ecc_injector.ecc_stats[key]) - int(before[key])
@@ -316,9 +318,9 @@ class ExperimentRunner:
         scores: List[float] = []
         for assignment in assignments:
             injector.set_per_tensor_ber(assignment)
-            scores.append(self.session.score(injector, repeats=repeats,
-                                             seed=seed, stride=stride,
-                                             dataset=dataset))
+            scores.append(self.session.evaluate(dataset, injector=injector,
+                                                repeats=repeats, seed=seed,
+                                                stride=stride))
         return scores
 
     # -- executor plumbing --------------------------------------------------------

@@ -5,7 +5,7 @@ script).  Every command wraps a public library entry point with small default
 budgets so a laptop-class CPU finishes in seconds to a couple of minutes; the
 benchmark harness under ``benchmarks/`` regenerates the paper's tables and
 figures with the full settings, and its ``bench_*.py`` scripts are the
-performance benchmarks whose recorded history ``perf`` reads.
+performance benchmarks whose ``BENCH_<name>.json`` snapshots ``perf`` gates.
 
 Commands
 --------
@@ -21,17 +21,15 @@ serve              HTTP/JSON inference server with admission control (Ctrl-C dra
 route              multi-replica router over shared-plan server processes
 loadgen            deterministic traffic scenarios against a serve URL (or self-hosted)
 ecc-sweep          raw vs ECC-corrected accuracy over a BER grid, with decode counts
-perf               performance history: trend report, CI gate check, run listing
+perf               CI gate check over the benchmarks' BENCH_<name>.json snapshots
 """
 
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import perfhistory
 from repro.analysis.reporting import format_table
 
 
@@ -402,70 +400,16 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "check":
-        results, code = perfhistory.check_benchmarks(args.history,
-                                                     args.benchmark)
-        for name, gate_results in results.items():
-            print(perfhistory.format_gate_results(name, gate_results))
-            print()
-        if not results:
-            print(f"no benchmark records found in {args.history}")
-        print(f"perf check: {'FAIL' if code else 'OK'}")
-        return code
+    from repro.analysis import perfhistory
 
-    store = perfhistory.HistoryStore(args.history)
-    entries = store.load()
-    selected = set(args.benchmark) if args.benchmark else None
-
-    if args.perf_command == "list":
-        rows = [(entry.timestamp, entry.benchmark, entry.env.git_commit,
-                 entry.env.cpu_count, entry.env.python, entry.env.numpy,
-                 len(entry.metrics))
-                for entry in entries
-                if selected is None or entry.benchmark in selected]
-        print(format_table(
-            ["timestamp", "benchmark", "commit", "cpus", "python", "numpy",
-             "metrics"],
-            rows[-args.limit:],
-            title=f"perf history: {store.path} ({len(rows)} run(s))"))
-        return 0
-
-    # report: per-benchmark metric trends from compatible-environment runs.
-    any_rows = False
-    for name, spec in perfhistory.BENCHMARKS.items():
-        if selected is not None and name not in selected:
-            continue
-        mine = [entry for entry in entries if entry.benchmark == name]
-        if not mine:
-            continue
-        latest = mine[-1]
-        comparable = [entry for entry in mine
-                      if entry.env.compatible_with(latest.env)]
-        rows = []
-        for metric, value in latest.metrics.items():
-            values = [float(entry.metrics[metric]) for entry in comparable
-                      if metric in entry.metrics]
-            trend = " -> ".join(f"{v:.4g}" for v in values[-5:])
-            baseline = perfhistory.baseline_window(mine[:-1], latest, metric)
-            if baseline:
-                median = statistics.median(baseline)
-                delta = ("n/a" if median == 0 else
-                         f"{(float(value) - median) / abs(median):+.1%}")
-            else:
-                delta = "seed"
-            rows.append((metric, latest.units.get(metric, ""),
-                         f"{float(value):.4g}", delta, trend))
-        print(format_table(
-            ["metric", "unit", "latest", "vs median", "trend (compatible runs)"],
-            rows,
-            title=(f"{name}: {spec.title} - {len(mine)} run(s), "
-                   f"{len(comparable)} env-compatible, "
-                   f"latest commit {latest.env.git_commit}")))
+    results, code = perfhistory.check_benchmarks(args.benchmark)
+    for name, gate_results in results.items():
+        print(perfhistory.format_gate_results(name, gate_results))
         print()
-        any_rows = True
-    if not any_rows:
-        print(f"no benchmark records found in {args.history}")
-    return 0
+    if not results:
+        print("no BENCH_<name>.json snapshots found in the working directory")
+    print(f"perf check: {'FAIL' if code else 'OK'}")
+    return code
 
 
 # ---------------------------------------------------------------------------------
@@ -655,29 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.set_defaults(handler=cmd_loadgen)
 
     perf = subparsers.add_parser(
-        "perf",
-        help="performance history: trend report, CI gate check, run listing")
+        "perf", help="CI gate check over the benchmark snapshots")
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _perf_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--history", default=perfhistory.DEFAULT_HISTORY,
-                         help="append-only perf history file (JSONL)")
-        sub.add_argument("--benchmark", nargs="+", default=None,
-                         help="restrict to these benchmarks (default: all "
-                              "with history entries)")
-        sub.set_defaults(handler=cmd_perf)
-
-    perf_report = perf_sub.add_parser(
-        "report", help="metric trends across the benchmark history")
-    _perf_common(perf_report)
     perf_check = perf_sub.add_parser(
-        "check", help="evaluate every regression gate on the latest runs "
-                      "(the CI gate step; exits non-zero on failure)")
-    _perf_common(perf_check)
-    perf_list = perf_sub.add_parser("list", help="list recorded runs")
-    _perf_common(perf_list)
-    perf_list.add_argument("--limit", type=int, default=40,
-                           help="show at most this many most-recent runs")
+        "check", help="evaluate every regression gate on the BENCH_<name>.json "
+                      "snapshots in the working directory (the CI gate step; "
+                      "exits non-zero on failure)")
+    perf_check.add_argument("--benchmark", nargs="+", default=None,
+                            help="restrict to these benchmarks (default: all "
+                                 "with a snapshot)")
+    perf_check.set_defaults(handler=cmd_perf)
 
     return parser
 

@@ -603,18 +603,6 @@ class InferenceSession:
         return self._evaluate_fp32(injector, store, inputs, labels, metric,
                                    repeats, seed, stride)
 
-    #: alias matching the historical ExperimentRunner vocabulary.
-    def score(self, injector, *, repeats: Optional[int] = None,
-              seed: Optional[int] = None, stride: Optional[int] = None,
-              dataset=None, semantics: Optional[ReadSemantics] = None) -> float:
-        """Evaluate with an explicit ``injector`` (the runner's vocabulary).
-
-        ``repeats``/``seed``/``stride``/``dataset``/``semantics`` forward to
-        :meth:`evaluate`.  Returns the mean score.
-        """
-        return self.evaluate(dataset, injector=injector, semantics=semantics,
-                             repeats=repeats, seed=seed, stride=stride)
-
     # -- serving ------------------------------------------------------------------
     def predict(self, inputs: np.ndarray, *, pad_to: Optional[int] = None,
                 ifm_errors: bool = False, seed: Optional[int] = None,

@@ -32,7 +32,6 @@ from repro.parallel.plan import (
     ExportedPlan,
     PlanHandle,
     attach_plan,
-    export_network_plan,
     export_session_plan,
     network_skeleton,
     restore_network,
@@ -49,7 +48,6 @@ __all__ = [
     "SweepExecutor",
     "attach_plan",
     "attach_store",
-    "export_network_plan",
     "export_session_plan",
     "network_skeleton",
     "restore_network",

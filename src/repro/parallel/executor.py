@@ -2,10 +2,11 @@
 
 :class:`SweepExecutor` owns a process pool whose workers are primed once —
 at pool creation — with a zero-copy plan of the network and dataset
-(:func:`repro.parallel.plan.export_network_plan`): the skeleton is a few KB
-of structure, and every tensor payload is a read-only view into shared
-memory.  After that, a sweep point costs exactly one pickled injector plus
-two floats on the wire, however large the model is.
+(:func:`repro.parallel.plan.export_session_plan` of an injector-free
+session): the skeleton is a few KB of structure, and every tensor payload
+is a read-only view into shared memory.  After that, a sweep point costs
+exactly one pickled injector plus two floats on the wire, however large the
+model is.
 
 Every experiment family routes its independent units through the same two
 calls:
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.engine.session import InferenceSession, ReadSemantics
 from repro.nn.network import Network
-from repro.parallel.plan import PlanHandle, attach_plan, export_network_plan
+from repro.parallel.plan import PlanHandle, attach_plan, export_session_plan
 
 #: module-level worker state: the session compiled from the pool's plan.
 #: Set once per worker by the initializer — tasks then carry only the
@@ -53,9 +54,9 @@ def _init_worker(handle: PlanHandle, metric: str, semantics: ReadSemantics,
 
 def _score_task(injector, repeats: int, seed: int, stride: int,
                 dataset) -> float:
-    return _WORKER_STATE["session"].score(injector, repeats=repeats,
-                                          seed=seed, stride=stride,
-                                          dataset=dataset)
+    return _WORKER_STATE["session"].evaluate(dataset, injector=injector,
+                                             repeats=repeats, seed=seed,
+                                             stride=stride)
 
 
 class SweepExecutor:
@@ -96,7 +97,7 @@ class SweepExecutor:
         self.execution_mode = ExecutionMode.resolve(
             execution_mode if execution_mode is not None
             else ExecutionMode.FP32)
-        self._plan = export_network_plan(network, dataset)
+        self._plan = export_session_plan(InferenceSession(network, dataset))
         import concurrent.futures
 
         from repro.parallel.shm import fork_context
@@ -118,7 +119,7 @@ class SweepExecutor:
         serial convention that reusing one injector with a stream restart is
         stream-identical to a fresh one); ``repeats``/``seed``/``stride``
         drive the repeat loop exactly like
-        :meth:`repro.engine.session.InferenceSession.score`; ``dataset``
+        :meth:`repro.engine.session.InferenceSession.evaluate`; ``dataset``
         optionally ships an ``(inputs, labels)`` pair for ad-hoc evaluation
         sets (None evaluates the plan's own dataset).
         """

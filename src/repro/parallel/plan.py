@@ -145,7 +145,7 @@ class PlanHandle:
 class ExportedPlan:
     """Owner side of an exported plan: the shared segments plus the handle.
 
-    Created by :func:`export_network_plan` / :func:`export_session_plan`
+    Created by :func:`export_session_plan`
     (``handle`` plus the backing ``segments`` are assembled there, not
     caller-supplied); :meth:`close` unlinks every segment.
 
@@ -239,45 +239,23 @@ def _export_dataset(dataset) -> Optional[SharedTensorStore]:
                                     token_prefix="dataset")
 
 
-def export_network_plan(network: Network, dataset=None) -> ExportedPlan:
-    """Export ``network`` (and optionally ``dataset``) for sweep workers.
-
-    The clean weights and the dataset's validation split go into shared
-    segments; no materialized store is included — sweep workers materialize
-    their own per task, which is deterministic and therefore bit-identical
-    to the owner's.  The export runs under the network's canonical lock so
-    the weight copy cannot observe another export's stub window.  Returns
-    the owning :class:`ExportedPlan`.
-    """
-    with network_lock(network):
-        weights = SharedTensorStore.create(
-            {param.name: param.data for param in network.parameters()},
-            token_prefix="weights")
-        segments = [weights]
-        dataset_store = _export_dataset(dataset)
-        if dataset_store is not None:
-            segments.append(dataset_store)
-        handle = PlanHandle(
-            token=_next_token("plan"),
-            skeleton=network_skeleton(network),
-            weights=weights.handle,
-            dataset=dataset_store.handle if dataset_store is not None else None,
-        )
-        return ExportedPlan(handle, segments)
-
-
 def export_session_plan(session, *, include_injector: bool = False
                         ) -> ExportedPlan:
-    """Export ``session``'s compiled plan for serving-dispatch workers.
+    """Export ``session``'s compiled plan for worker processes.
 
     Under static-store semantics the session's weight store is materialized
     (when it has an injector) and exported alongside the clean weights,
     keyed by the session's current injector fingerprint; under per-read
     semantics no store exists and the injector itself must travel instead.
+    An injector-free session exports only the clean weights, skeleton and
+    dataset — what :class:`repro.parallel.executor.SweepExecutor` workers
+    need, since they materialize their own store per task (deterministic,
+    hence bit-identical to the owner's).
     ``include_injector`` pickles the injector so workers can keep injecting
     per read (per-dispatch IFM errors, or per-read semantics).  The export
-    runs under the network's canonical lock, like
-    :func:`export_network_plan`.  Returns the owning :class:`ExportedPlan`.
+    runs under the network's canonical lock so the weight copy cannot
+    observe another export's stub window.  Returns the owning
+    :class:`ExportedPlan`.
     """
     from repro.engine.session import ReadSemantics
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 #: latency samples kept per model; beyond this the window keeps the most
 #: recent samples (percentiles then describe recent traffic, which is what a
 #: serving dashboard wants).
-DEFAULT_WINDOW = 8192
+DEFAULT_SAMPLE_WINDOW = 8192
 
 
 def percentile(samples: List[float], q: float) -> float:
@@ -75,13 +75,14 @@ class ServingTelemetry:
     ----------
     window:
         Number of latency samples retained per model (see
-        :data:`DEFAULT_WINDOW`).
+        :data:`DEFAULT_SAMPLE_WINDOW`).
     clock:
         Monotonic time source; injectable so tests can drive deterministic
         timestamps.  Defaults to :func:`time.monotonic`.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW, clock=time.monotonic):
+    def __init__(self, window: int = DEFAULT_SAMPLE_WINDOW,
+                 clock=time.monotonic):
         self._lock = threading.Lock()
         self._models: Dict[str, _ModelStats] = {}
         self._window = int(window)

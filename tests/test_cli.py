@@ -16,21 +16,55 @@ class TestParser:
         assert expected == set(subparsers.choices)
 
     def test_perf_subcommands_registered(self):
-        for sub in ("report", "check", "list"):
-            args = build_parser().parse_args(["perf", sub])
-            assert args.perf_command == sub
-            assert args.history == "BENCH_history.jsonl"
-            assert args.benchmark is None
+        args = build_parser().parse_args(["perf", "check"])
+        assert args.perf_command == "check"
+        assert args.benchmark is None
+        assert not hasattr(args, "history")
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perf"])
 
-    @pytest.mark.parametrize("sub", ["report", "check", "list"])
+    @pytest.mark.parametrize("sub", ["check"])
     def test_perf_benchmark_flag_needs_a_name(self, sub, capsys):
         # A bare --benchmark used to make `perf check` check nothing and pass.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["perf", sub, "--benchmark"])
         assert excinfo.value.code == 2
         assert "--benchmark" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["report", "list"])
+    def test_perf_report_and_list_are_usage_errors(self, sub, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["perf", sub])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--history", "--limit"])
+    def test_perf_check_rejects_removed_option(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["perf", "check", option, "1"])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_import_does_not_load_the_perf_harness(self):
+        # `repro.cli serve` processes import this module; the benchmark
+        # harness (and its `statistics` import) loads only inside `perf`.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, repro.cli; "
+                 "print('repro.analysis.perfhistory' in sys.modules, "
+                 "'statistics' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True, env=env,
+                             timeout=60).stdout
+        assert out.split() == ["False", "False"]
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):

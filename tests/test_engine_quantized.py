@@ -221,7 +221,7 @@ class TestCrossProcessBitIdentity:
         serial = InferenceSession(network, dataset, metric=spec.metric,
                                   execution_mode="integer")
         injectors = [_store_injector(ber=ber, seed=1) for ber in (1e-4, 1e-2)]
-        expected = [serial.score(injector, repeats=2, seed=1)
+        expected = [serial.evaluate(injector=injector, repeats=2, seed=1)
                     for injector in injectors]
         with SweepExecutor(network, dataset, metric=spec.metric,
                            semantics=ReadSemantics.STATIC_STORE,

@@ -26,7 +26,7 @@ from repro.parallel import (
     SweepExecutor,
     attach_plan,
     attach_store,
-    export_network_plan,
+    export_session_plan,
     network_skeleton,
     restore_network,
 )
@@ -70,8 +70,13 @@ class TestNetworkSkeleton:
         x = np.asarray(dataset.val_x[:8])
         reference = network.forward(x)
 
-        plan = export_network_plan(network, dataset)
+        plan = export_session_plan(InferenceSession(network, dataset))
         try:
+            # An injector-free session ships no store, injector or
+            # quantized plan: workers materialize their own per task.
+            assert plan.handle.store is None
+            assert plan.handle.injector is None
+            assert plan.handle.qplan is None
             attached = attach_plan(plan.handle)
             assert attached.network.forward(x).tobytes() == reference.tobytes()
             inputs, labels = attached.dataset
@@ -112,8 +117,8 @@ class TestSweepExecutorParity:
         model = make_error_model(0, 1e-3, seed=0)
         session = InferenceSession(network, dataset, metric=spec.metric,
                                    semantics=ReadSemantics.PER_READ)
-        serial = session.score(BitErrorInjector(model, seed=3), repeats=2,
-                               seed=3, stride=101)
+        serial = session.evaluate(injector=BitErrorInjector(model, seed=3),
+                                  repeats=2, seed=3, stride=101)
         with SweepExecutor(network, dataset, metric=spec.metric,
                            semantics=ReadSemantics.PER_READ,
                            processes=2) as executor:
@@ -128,8 +133,8 @@ class TestSweepExecutorParity:
         model = make_error_model(0, 1e-3, seed=0)
         session = InferenceSession(network, dataset, metric=spec.metric,
                                    semantics=ReadSemantics.STATIC_STORE)
-        serial = session.score(BitErrorInjector(model, seed=1), repeats=2,
-                               seed=1, stride=1)
+        serial = session.evaluate(injector=BitErrorInjector(model, seed=1),
+                                  repeats=2, seed=1, stride=1)
         with SweepExecutor(network, dataset, metric=spec.metric,
                            semantics=ReadSemantics.STATIC_STORE,
                            processes=2) as executor:
@@ -232,6 +237,22 @@ class TestCoarseCharacterizationParallel:
 
 
 class TestSessionExport:
+    def test_sweep_executor_exports_an_injector_free_plan(self, lenet_clone):
+        network, dataset, spec = lenet_clone
+        with SweepExecutor(network, dataset, metric=spec.metric,
+                           processes=2) as executor:
+            handle = executor._plan.handle
+            assert handle.store is None and handle.store_key is None
+            assert handle.injector is None and handle.qplan is None
+            assert handle.dataset is not None
+
+    def test_one_export_and_one_scoring_entry_point(self):
+        import repro.parallel
+
+        assert not hasattr(repro.parallel, "export_network_plan")
+        assert "export_session_plan" in repro.parallel.__all__
+        assert not hasattr(InferenceSession, "score")
+
     def test_export_reused_until_fingerprint_changes(self, lenet_clone):
         network, dataset, _ = lenet_clone
         injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),

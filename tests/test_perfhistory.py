@@ -1,12 +1,13 @@
-"""Tests for the perf-history harness (repro.analysis.perfhistory).
+"""Tests for the benchmark harness (repro.analysis.perfhistory).
 
-Covers the record schema and environment fingerprint, the append-only
-history store, the snapshot shape (committed ``BENCH_<name>.json`` files
-included), the degradation detector (empty history seeds the baseline,
-single-entry baselines, environment-mismatch exclusion, exact threshold
-boundaries, non-finite values), the hard/advisory enforcement split of
-``finish_run``, the CI wiring of every registered benchmark, and a
-synthetic injected regression that must fail ``repro.cli perf check``.
+Covers the record schema and environment fingerprint (including the
+process-visible CPU count), the snapshot shape (committed
+``BENCH_<name>.json`` files included), the gates evaluated on one record
+(floors and their boundaries, ``min_cpus`` skips, non-finite values,
+identity/positive gates), the hard/advisory enforcement split of
+``finish_run``, the CI wiring of every registered benchmark, ``perf
+check`` over the committed snapshots, and a synthetic injected regression
+that must fail ``repro.cli perf check``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -43,13 +45,6 @@ def make_record(benchmark="injection", metrics=None, env=None):
         env=env if env is not None else make_env())
 
 
-def seeded_history(path, benchmark, metric, values, env=None):
-    store = ph.HistoryStore(path)
-    for value in values:
-        store.append(make_record(benchmark, {metric: value}, env=env))
-    return store
-
-
 class TestEnvFingerprint:
     def test_capture_populates_every_field(self):
         env = ph.EnvFingerprint.capture()
@@ -60,64 +55,34 @@ class TestEnvFingerprint:
         assert env.blas
         assert env.git_commit    # short hash in a git checkout
 
-    def test_commit_never_affects_compatibility(self):
-        assert make_env(git_commit="aaa").compatible_with(
-            make_env(git_commit="bbb"))
-
-    def test_python_patch_version_is_compatible(self):
-        assert make_env(python="3.12.1").compatible_with(
-            make_env(python="3.12.9"))
-        assert not make_env(python="3.12.1").compatible_with(
-            make_env(python="3.11.7"))
-
-    @pytest.mark.parametrize("field,value", [
-        ("cpu_count", 1), ("numpy", "1.26.0"), ("blas", "mkl"),
-        ("machine", "arm64")])
-    def test_any_other_field_mismatch_is_incompatible(self, field, value):
-        assert not make_env().compatible_with(make_env(**{field: value}))
-
     def test_dict_roundtrip(self):
         env = make_env()
         assert ph.EnvFingerprint.from_dict(env.to_dict()) == env
 
+    def test_capture_counts_cpus_visible_to_the_process(self, monkeypatch):
+        # Pinned to one CPU (taskset -c 0) on an 8-CPU machine: the
+        # min_cpus speedup gates must not arm.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        env = ph.EnvFingerprint.capture()
+        assert env.cpu_count == 1
+        record = make_record(
+            "parallel", {"characterization_sweep_speedup": 1.0}, env=env)
+        speedup = ph.evaluate_gates(ph.BENCHMARKS["parallel"], record)[-1]
+        assert speedup.gate.metric == "characterization_sweep_speedup"
+        assert speedup.status == "skip"
 
-class TestHistoryStore:
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert ph.HistoryStore(tmp_path / "none.jsonl").load() == []
+    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert ph.visible_cpu_count() == 3
 
-    def test_append_only_across_consecutive_runs(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        store = ph.HistoryStore(path)
-        store.append(make_record(metrics={"m": 1.0}))
-        first_bytes = path.read_bytes()
-        store.append(make_record(metrics={"m": 2.0}))
-        # The second run only ever adds a line; run 1 stays byte-identical.
-        assert path.read_bytes().startswith(first_bytes)
-        assert len(store.load()) == 2
-
-    def test_roundtrip_preserves_record(self, tmp_path):
-        store = ph.HistoryStore(tmp_path / "hist.jsonl")
-        record = ph.BenchRecord.create("serving",
-                                       {"bit_identical": True, "speedup": 4.5},
-                                       units={"speedup": "x"}, env=make_env())
-        store.append(record)
-        loaded = store.load()[0]
-        assert loaded == record
-
-    def test_malformed_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        store = ph.HistoryStore(path)
-        store.append(make_record())
-        with path.open("a") as handle:
-            handle.write("{not json\n\n")
-        store.append(make_record())
-        assert len(store.load()) == 2
-
-    def test_entries_for_filters_benchmark(self, tmp_path):
-        store = ph.HistoryStore(tmp_path / "hist.jsonl")
-        store.append(make_record("injection"))
-        store.append(make_record("serving", {"bit_identical": True}))
-        assert [r.benchmark for r in store.entries_for("serving")] == ["serving"]
+    def test_from_dict_fills_defaults_for_missing_fields(self):
+        env = ph.EnvFingerprint.from_dict({"cpu_count": "2"})
+        assert env.cpu_count == 2
+        assert env.blas == "unknown" and env.git_commit == "unknown"
+        assert env.python == "" and env.numpy == "" and env.machine == ""
 
 
 class TestSnapshot:
@@ -131,132 +96,138 @@ class TestSnapshot:
         del data["details"]
         assert data == record.to_dict()
         assert data["schema"] == ph.SCHEMA_VERSION
-        ph.write_snapshot(path, record)          # no details: a history line
+        ph.write_snapshot(path, record)          # no details: the bare record
         assert json.loads(path.read_text()) == record.to_dict()
 
     @pytest.mark.parametrize("name", sorted(ph.BENCHMARKS))
     def test_committed_snapshot_is_latest_history_record(self, name):
+        # The snapshot is the latest run's record: nothing else is kept.
         assert ph.BENCHMARKS[name].snapshot == f"BENCH_{name}.json"
         data = json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
         assert set(data) - {"details"} == RECORD_KEYS
+        assert data["schema"] == ph.SCHEMA_VERSION
+        assert data["benchmark"] == name
+        assert data["metrics"] and set(data["units"]) <= set(data["metrics"])
         data.pop("details", None)
-        lines = (REPO_ROOT / ph.DEFAULT_HISTORY).read_text().splitlines()
-        history = [json.loads(line) for line in lines if line.strip()]
-        assert data == [h for h in history if h["benchmark"] == name][-1]
+        assert ph.BenchRecord.from_dict(data).to_dict() == data
+
+    @pytest.mark.parametrize("name", sorted(ph.BENCHMARKS))
+    def test_committed_snapshot_carries_every_gated_metric(self, name):
+        # A gate whose metric is missing from the record fails, so every
+        # registered gate must find its metric in the committed snapshot.
+        data = json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
+        for gate in ph.BENCHMARKS[name].gates:
+            assert gate.metric in data["metrics"], (name, gate.metric)
+
+    def test_from_dict_ignores_details(self):
+        record = make_record(metrics={"speedup": 3.0})
+        data = dict(record.to_dict(), details={"rows": [1, 2]})
+        assert ph.BenchRecord.from_dict(data) == record
 
 
-SPEEDUP_GATE = ph.GateSpec("g", "speedup", floor=2.0, tolerance=0.25)
+SPEEDUP_GATE = ph.GateSpec("g", "speedup", floor=2.0)
 TOY_SPEC = ph.BenchmarkSpec("toy", "bench_toy.py", "toy",
                             gates=(SPEEDUP_GATE,))
 
 
-def one_gate(record, prior, gate=SPEEDUP_GATE):
+def one_gate(record, gate=SPEEDUP_GATE):
     spec = dataclasses.replace(TOY_SPEC, gates=(gate,))
-    results = ph.evaluate_gates(spec, record, prior)
+    results = ph.evaluate_gates(spec, record)
     assert len(results) == 1
     return results[0]
 
 
 class TestDegradationDetector:
-    def test_empty_history_passes_and_seeds(self):
-        result = one_gate(make_record("toy", {"speedup": 2.5}), prior=[])
-        assert result.status == "pass"
-        assert "seeds" in result.reason
-        assert result.baseline is None
-
-    def test_single_entry_baseline(self):
-        prior = [make_record("toy", {"speedup": 8.0})]
-        ok = one_gate(make_record("toy", {"speedup": 6.5}), prior)
-        assert ok.status == "pass" and ok.baseline == 8.0
-        bad = one_gate(make_record("toy", {"speedup": 5.9}), prior)
-        assert bad.failed and "degraded" in bad.reason
-
-    def test_environment_mismatch_excluded_from_window(self):
-        # Ten glorious 4-CPU runs must not set the bar for a 1-CPU record.
-        prior = [make_record("toy", {"speedup": 50.0}, env=make_env())
-                 for _ in range(10)]
-        record = make_record("toy", {"speedup": 2.1},
-                             env=make_env(cpu_count=1))
-        result = one_gate(record, prior)
-        assert result.status == "pass"
-        assert "seeds" in result.reason      # nothing comparable existed
-        # And a compatible entry joins the window regardless of its commit.
-        prior.append(make_record("toy", {"speedup": 2.2},
-                                 env=make_env(cpu_count=1, git_commit="zzz")))
-        result = one_gate(record, prior)
-        assert result.baseline == 2.2
-
-    def test_window_takes_most_recent_entries(self):
-        values = [10.0, 10.0, 10.0, 4.0, 4.0, 4.0, 4.0, 4.0]
-        prior = [make_record("toy", {"speedup": v}) for v in values]
-        result = one_gate(make_record("toy", {"speedup": 3.2}), prior)
-        # window=5 -> the three old 10.0 runs age out; median is 4.0.
-        assert result.baseline == 4.0
-        assert result.status == "pass"
-
-    def test_exact_threshold_boundary(self):
-        prior = [make_record("toy", {"speedup": 8.0})]
-        at_threshold = one_gate(make_record("toy", {"speedup": 6.0}), prior)
-        assert at_threshold.threshold == pytest.approx(6.0)
-        assert at_threshold.status == "pass"     # value == threshold passes
-        below = one_gate(make_record("toy", {"speedup": 5.999}), prior)
-        assert below.failed
-
     def test_absolute_floor_applies_before_baseline(self):
-        prior = [make_record("toy", {"speedup": 2.1})]
-        result = one_gate(make_record("toy", {"speedup": 1.9}), prior)
+        # The floor is the only bar: no baseline from earlier runs exists.
+        result = one_gate(make_record("toy", {"speedup": 1.9}))
         assert result.failed and "floor" in result.reason
+        assert result.threshold == 2.0
 
     def test_exact_floor_boundary_passes(self):
-        result = one_gate(make_record("toy", {"speedup": 2.0}), prior=[])
-        assert result.status == "pass"
+        result = one_gate(make_record("toy", {"speedup": 2.0}))
+        assert result.status == "pass" and result.threshold == 2.0
+
+    def test_speedup_without_floor_passes_when_finite(self):
+        gate = dataclasses.replace(SPEEDUP_GATE, floor=None)
+        result = one_gate(make_record("toy", {"speedup": 0.5}), gate)
+        assert result.status == "pass" and result.threshold is None
 
     def test_min_cpus_skips_not_passes(self):
         gate = dataclasses.replace(SPEEDUP_GATE, min_cpus=4)
         record = make_record("toy", {"speedup": 0.8},
                              env=make_env(cpu_count=1))
-        result = one_gate(record, [], gate)
+        result = one_gate(record, gate)
         assert result.status == "skip"
         assert "CPUs" in result.reason
         # With enough CPUs the same gate arms and the floor fails it.
-        armed = one_gate(make_record("toy", {"speedup": 0.8}), [], gate)
+        armed = one_gate(make_record("toy", {"speedup": 0.8}), gate)
         assert armed.failed
 
     def test_identity_gate_is_unconditional(self):
         gate = ph.GateSpec("ident", "bit_identical", kind="identity")
-        good = one_gate(make_record("toy", {"bit_identical": True}), [], gate)
+        good = one_gate(make_record("toy", {"bit_identical": True}), gate)
         assert good.status == "pass" and gate.hard
-        bad = one_gate(make_record("toy", {"bit_identical": False}), [], gate)
+        bad = one_gate(make_record("toy", {"bit_identical": False}), gate)
         assert bad.failed
 
     def test_positive_gate(self):
         gate = ph.GateSpec("shed", "burst_shed", kind="positive")
-        assert one_gate(make_record("toy", {"burst_shed": 17}), [],
+        assert one_gate(make_record("toy", {"burst_shed": 17}),
                         gate).status == "pass"
-        assert one_gate(make_record("toy", {"burst_shed": 0}), [],
-                        gate).failed
+        assert one_gate(make_record("toy", {"burst_shed": 0}), gate).failed
 
     def test_missing_metric_fails(self):
-        result = one_gate(make_record("toy", {"other": 1.0}), [])
+        result = one_gate(make_record("toy", {"other": 1.0}))
         assert result.failed and "missing" in result.reason
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_speedup_fails(self, value):
-        # NaN slips past `value < floor`; with no baseline it used to PASS.
+        # NaN slips past `value < floor`; it used to PASS.
         router = ph.BENCHMARKS["router"]
         record = make_record("router", {"bit_identical": True,
                                         "scaleout_speedup": value})
-        by_name = {r.gate.name: r
-                   for r in ph.evaluate_gates(router, record, [])}
+        by_name = {r.gate.name: r for r in ph.evaluate_gates(router, record)}
         assert by_name["scaleout_speedup"].failed
         assert "not finite" in by_name["scaleout_speedup"].reason
 
-    def test_non_finite_prior_values_leave_the_window(self):
-        prior = [make_record("toy", {"speedup": v})
-                 for v in (8.0, math.nan, math.inf, 9.0)]
-        record = make_record("toy", {"speedup": 8.4})
-        assert ph.baseline_window(prior, record, "speedup") == [8.0, 9.0]
-        assert one_gate(record, prior).baseline == pytest.approx(8.5)
+class TestGateTable:
+    def test_floor_gate_shows_its_bar(self):
+        result = one_gate(make_record("toy", {"speedup": 2.5}))
+        table = ph.format_gate_results("toy", [result])
+        assert "perf gates: toy" in table
+        assert ">= 2" in table and "PASS" in table
+        assert "median" not in table
+
+    def test_identity_and_skipped_gates_show_no_bar(self):
+        ident = ph.GateSpec("ident", "bit_identical", kind="identity")
+        gated = dataclasses.replace(SPEEDUP_GATE, min_cpus=4)
+        record = make_record("toy", {"bit_identical": True, "speedup": 0.5},
+                             env=make_env(cpu_count=1))
+        spec = dataclasses.replace(TOY_SPEC, gates=(ident, gated))
+        results = ph.evaluate_gates(spec, record)
+        assert [r.status for r in results] == ["pass", "skip"]
+        assert all(r.threshold is None for r in results)
+        table = ph.format_gate_results("toy", results)
+        assert ">= 2" not in table and "SKIP" in table
+
+
+class TestHarnessArguments:
+    def parser(self):
+        parser = argparse.ArgumentParser()
+        ph.add_harness_arguments(parser, ph.BENCHMARKS["ecc"])
+        return parser
+
+    def test_output_defaults_to_the_snapshot(self):
+        args = self.parser().parse_args([])
+        assert args.output == "BENCH_ecc.json"
+        assert vars(args) == {"output": "BENCH_ecc.json"}
+
+    def test_history_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self.parser().parse_args(["--history", "h.jsonl"])
+        assert excinfo.value.code == 2
+        assert "--history" in capsys.readouterr().err
 
 
 class TestRegistry:
@@ -311,7 +282,7 @@ class TestRegistry:
                        for line in lines if "perf check --benchmark" in line]
             assert any(name in names for names in checked), (name, owners)
             uploads = self.uploaded_paths(lines)
-            assert {spec.snapshot, ph.DEFAULT_HISTORY} <= uploads, name
+            assert spec.snapshot in uploads, name
 
     def test_identity_gates_are_hard_and_floors_match_ci_history(self):
         floors = {name: {g.metric: g.floor for g in spec.gates
@@ -344,35 +315,30 @@ class TestBenchScripts:
     def test_bench_serving_records_bit_identical_run(self, tmp_path, capsys):
         script = self.load_script("bench_serving")
         output = tmp_path / "BENCH_serving.json"
-        history = tmp_path / "history.jsonl"
         assert script.main(["--requests", "48", "--max-batch", "8",
-                            "--output", str(output),
-                            "--history", str(history)]) == 0
+                            "--output", str(output)]) == 0
         snapshot = json.loads(output.read_text())
         assert snapshot["metrics"]["bit_identical"] is True
         assert "telemetry" in snapshot["details"]
-        entries = ph.HistoryStore(history).entries_for("serving")
-        assert len(entries) == 1
         del snapshot["details"]
-        assert snapshot == entries[0].to_dict()
+        assert ph.BenchRecord.from_dict(snapshot).to_dict() == snapshot
+        assert snapshot["benchmark"] == "serving"
         assert "perf gates: serving" in capsys.readouterr().out
 
 
 class TestFinishRun:
     def run(self, tmp_path, metrics, spec, details=None):
-        args = argparse.Namespace(output=str(tmp_path / "snap.json"),
-                                  history=str(tmp_path / "hist.jsonl"))
+        args = argparse.Namespace(output=str(tmp_path / "snap.json"))
         code = ph.finish_run(spec, args, metrics, details=details)
         return code, args
 
-    def test_writes_snapshot_and_appends_history(self, tmp_path, capsys):
+    def test_writes_snapshot_and_prints_gates(self, tmp_path, capsys):
         code, args = self.run(tmp_path, {"speedup": 9.0}, TOY_SPEC,
                               details={"rows": [1, 2]})
         assert code == 0
         snapshot = json.loads(Path(args.output).read_text())
         assert snapshot["metrics"] == {"speedup": 9.0}
         assert snapshot["details"] == {"rows": [1, 2]}
-        assert len(ph.HistoryStore(args.history).entries_for("toy")) == 1
         assert "perf gates: toy" in capsys.readouterr().out
 
     def test_hard_failure_is_fatal(self, tmp_path, capsys):
@@ -392,79 +358,76 @@ class TestFinishRun:
             ph.GateSpec("ident", "bit_identical", kind="identity"),))
         code, args = self.run(tmp_path, {"bit_identical": False}, spec)
         assert code == 1
-        assert len(ph.HistoryStore(args.history).load()) == 1
+        snapshot = json.loads(Path(args.output).read_text())
+        assert snapshot["metrics"] == {"bit_identical": False}
 
 
 class TestPerfCheck:
-    def test_synthetic_regression_fails_perf_check(self, tmp_path, capsys):
-        hist = tmp_path / "hist.jsonl"
-        env = ph.EnvFingerprint.capture()      # compatible with "now"
-        seeded_history(hist, "quantized", "speedup",
-                       [2.6, 2.5, 2.6], env=env)
-        assert cli_main(["perf", "check", "--history", str(hist)]) == 0
+    def test_committed_snapshots_pass_perf_check(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        assert cli_main(["perf", "check"]) == 0
+        assert "perf check: OK" in capsys.readouterr().out
+        results, code = ph.check_benchmarks()
+        assert code == 0 and set(results) == set(ph.BENCHMARKS)
+        # The committed records come from a 1-CPU run: the scale-out
+        # speedups cannot be expressed there, so their gates skip.
+        for name, gate in (("parallel", "characterization_sweep_speedup"),
+                           ("router", "scaleout_speedup")):
+            by_name = {r.gate.name: r for r in results[name]}
+            assert by_name[gate].status == "skip", name
+
+    def test_synthetic_regression_fails_perf_check(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        snapshot = tmp_path / ph.BENCHMARKS["quantized"].snapshot
+        ph.write_snapshot(snapshot, make_record("quantized", {"speedup": 2.6}))
+        assert cli_main(["perf", "check"]) == 0
         # Inject a regression that breaches the absolute CI floor.
-        ph.HistoryStore(hist).append(
-            ph.BenchRecord.create("quantized", {"speedup": 1.8}, env=env))
-        code = cli_main(["perf", "check", "--history", str(hist)])
+        ph.write_snapshot(snapshot, make_record("quantized", {"speedup": 1.8}))
+        code = cli_main(["perf", "check"])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_regression_below_window_but_above_floor_fails(self, tmp_path):
-        hist = tmp_path / "hist.jsonl"
-        env = ph.EnvFingerprint.capture()
-        seeded_history(hist, "quantized", "speedup",
-                       [4.0, 4.0, 4.0, 2.4], env=env)
-        # 2.4 clears the 2.0 floor but is 40% below the median: degradation.
-        results, code = ph.check_benchmarks(hist, ["quantized"])
-        assert code == 1
-        assert results["quantized"][0].failed
+    def test_named_benchmark_without_record_fails(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["perf", "check"]) == 0      # nothing named, none found
+        assert cli_main(["perf", "check", "--benchmark", "router"]) == 1
+        assert "no snapshot BENCH_router.json" in capsys.readouterr().err
 
-    def test_named_benchmark_without_record_fails(self, tmp_path, capsys):
-        hist = tmp_path / "hist.jsonl"
-        assert cli_main(["perf", "check", "--history", str(hist),
-                         "--benchmark", "router"]) == 1
-        assert "no history entry" in capsys.readouterr().err
-
-    def test_unknown_benchmark_fails(self, tmp_path):
-        results, code = ph.check_benchmarks(tmp_path / "h.jsonl", ["bogus"])
+    def test_unknown_benchmark_fails(self):
+        results, code = ph.check_benchmarks(["bogus"])
         assert code == 1 and not results
 
-    def test_check_uses_latest_entry_per_benchmark(self, tmp_path):
-        hist = tmp_path / "hist.jsonl"
-        env = ph.EnvFingerprint.capture()
-        store = seeded_history(hist, "injection",
-                               "headline_speedup", [9.0, 9.1], env=env)
-        store.append(ph.BenchRecord.create(
-            "injection", {"bit_identical": True, "headline_speedup": 8.8},
-            env=env))
-        results, code = ph.check_benchmarks(hist)
+    @pytest.mark.parametrize("name", sorted(ph.BENCHMARKS))
+    def test_ci_check_line_passes_on_committed_snapshot(self, name,
+                                                        monkeypatch, capsys):
+        # The form CI uses after each script: one named benchmark.
+        monkeypatch.chdir(REPO_ROOT)
+        assert cli_main(["perf", "check", "--benchmark", name]) == 0
+        out = capsys.readouterr().out
+        assert f"perf gates: {name}" in out and "perf check: OK" in out
+
+    def test_unknown_name_fails_but_known_ones_are_still_checked(
+            self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        results, code = ph.check_benchmarks(["ecc", "bogus"])
+        assert code == 1
+        assert set(results) == {"ecc"}
+        assert not any(r.failed for r in results["ecc"])
+
+    def test_skipped_gate_does_not_fail_the_check(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        metrics = {"bit_identical": True, "scaleout_speedup": 0.9}
+        ph.write_snapshot(tmp_path / "BENCH_router.json",
+                          make_record("router", metrics,
+                                      env=make_env(cpu_count=1)))
+        results, code = ph.check_benchmarks(["router"])
         assert code == 0
-        by_name = {r.gate.name: r for r in results["injection"]}
-        assert by_name["headline_cold_speedup"].value == pytest.approx(8.8)
-        assert by_name["headline_cold_speedup"].baseline == pytest.approx(9.05)
-
-    def test_report_median_matches_gate_baseline(self, tmp_path, capsys):
-        hist = tmp_path / "hist.jsonl"
-        env = ph.EnvFingerprint.capture()
-        seeded_history(hist, "injection", "headline_speedup",
-                       [9.0, 9.1, 8.8], env=env)
-        results, _ = ph.check_benchmarks(hist, ["injection"])
-        gate = {r.gate.name: r for r in results["injection"]}
-        baseline = gate["headline_cold_speedup"].baseline
-        assert baseline == pytest.approx(9.05)     # even window: true median
-        assert cli_main(["perf", "report", "--history", str(hist)]) == 0
-        row = next(line for line in capsys.readouterr().out.splitlines()
-                   if "headline_speedup" in line)
-        assert f"{(8.8 - baseline) / baseline:+.1%}" in row
-
-    def test_cli_report_and_list(self, tmp_path, capsys):
-        hist = tmp_path / "hist.jsonl"
-        env = ph.EnvFingerprint.capture()
-        seeded_history(hist, "quantized", "speedup", [2.5, 2.6], env=env)
-        assert cli_main(["perf", "report", "--history", str(hist)]) == 0
-        out = capsys.readouterr().out
-        assert "quantized" in out and "2.6" in out and "->" in out
-        assert cli_main(["perf", "list", "--history", str(hist)]) == 0
-        out = capsys.readouterr().out
-        assert "quantized" in out and env.git_commit in out
+        assert [r.status for r in results["router"]] == ["pass", "skip"]
+        # The same record from a 4-CPU machine arms the floor and fails.
+        ph.write_snapshot(tmp_path / "BENCH_router.json",
+                          make_record("router", metrics))
+        assert ph.check_benchmarks(["router"])[1] == 1
