@@ -31,6 +31,7 @@ fan out across processes through :mod:`repro.parallel`.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import threading
 import time
@@ -262,8 +263,9 @@ class InferenceSession:
         self.execution_mode = ExecutionMode.resolve(execution_mode)
         #: compiled integer plans, keyed by (injector fingerprint, seed).
         self._qplans: Dict[tuple, object] = {}
-        #: plan adopted from another process's export (see
-        #: :meth:`adopt_quantized_plan`); takes precedence over compilation.
+        #: weight store / integer plan adopted from another process's export
+        #: (see :meth:`adopt`); they take precedence over compilation.
+        self._adopted_store: Optional[Dict[str, np.ndarray]] = None
         self._adopted_qplan = None
         self._baseline: Optional[float] = None
         self._store: Optional[Dict[str, np.ndarray]] = None
@@ -429,8 +431,9 @@ class InferenceSession:
         fingerprint (or :meth:`invalidate`) unlinks the stale segments and
         re-exports under a fresh token, which attached workers pick up on
         their next task — fingerprint invalidation across processes.
-        ``include_injector`` additionally ships the pickled injector for
-        workers that keep injecting per read.  Returns the
+        ``include_injector`` additionally ships a static-store session's
+        pickled injector, for workers serving per-dispatch IFM errors
+        (per-read sessions always ship theirs).  Returns the
         :class:`~repro.parallel.plan.ExportedPlan` (owned by the session;
         dropped by :meth:`invalidate`).
         """
@@ -491,15 +494,21 @@ class InferenceSession:
             self._qplans[key] = plan
         return plan
 
-    def adopt_quantized_plan(self, plan) -> None:
-        """Serve an externally compiled :class:`QuantizedPlan` directly.
+    def adopt(self, *, store: Optional[Dict[str, np.ndarray]] = None,
+              qplan=None) -> None:
+        """Serve an exported weight ``store`` or integer ``qplan`` directly.
 
-        Used by plan-dispatcher workers: the owner process compiles the plan
-        once and exports its code arrays through shared memory; workers
-        adopt the rebuilt plan instead of re-materializing and re-recovering
-        it.  An adopted plan pins the session to integer execution.
+        Used by sessions rebuilt in worker processes
+        (:func:`repro.parallel.session_from_plan`): the owner materializes
+        the store or compiles the :class:`QuantizedPlan` once and exports
+        it through shared memory; the worker adopts the rebuilt arrays
+        instead of re-materializing or re-compiling.  An adopted store pins
+        static-store reads to it (the session's injector, when shipped,
+        still serves per-read IFM loads); an adopted plan pins the session
+        to integer execution.  Both survive :meth:`invalidate`.
         """
-        self._adopted_qplan = plan
+        self._adopted_store = store
+        self._adopted_qplan = qplan
 
     def mode_label(self) -> str:
         """Wire-format label of the session's GEMM path.
@@ -516,34 +525,64 @@ class InferenceSession:
             active = False
         return f"int{self.injector.bits}" if active else "fp32"
 
-    def _run_with_plan(self, plan, body):
-        """Run ``body()`` with ``plan``'s kernels and float store installed.
+    # -- execution ----------------------------------------------------------------
+    @contextlib.contextmanager
+    def _bound(self, injector, semantics: ReadSemantics, seed: int,
+               ifm_errors: bool):
+        """Install one call's execution setup on the network, then restore it.
 
-        The fused kernels are attached to the shared network object, so the
-        whole critical section holds the network lock; the float-store
-        reader serves the remaining (non-GEMM) weight loads and passes IFMs
-        through untouched — the integer path always reads IFMs from
-        reliable DRAM, like ``predict`` defaults to.
+        The setup is one of two shapes:
+
+        * the fused integer plan's kernels plus a reader serving its float
+          store — IFMs are read from reliable DRAM, and any order or shape
+          of rows gives the same bits;
+        * a load hook — the static-store reader (weights from the
+          materialized or adopted store, IFMs through the injector when
+          ``ifm_errors``), the injector itself under per-read semantics,
+          or, with no injector, whatever hook the network already has.
+
+        The injector that stays live on reads is reseeded at ``seed``.  The
+        whole critical section holds :func:`network_lock` and runs in eval
+        mode.  Yields ``(live, qplan)``: the injector drawing fresh errors
+        on reads and the bound integer plan (each None when absent).
         """
+        qplan = (self._quantized_plan(injector, seed)
+                 if self._integer_mode_active(injector, semantics) else None)
         network = self.network
         with network_lock(network):
+            previous = network.fault_injector
+            if qplan is not None:
+                live = None
+                # The hook swap walks every layer twice per call; skip it
+                # when every store tensor became codes behind a kernel and
+                # no stale hook could intercept a load.
+                hook = (_StaticStoreReader(None, qplan.float_store)
+                        if qplan.float_store or previous is not None
+                        else previous)
+            else:
+                per_read = semantics is ReadSemantics.PER_READ
+                live = injector if (ifm_errors or per_read) else None
+                store = self._adopted_store
+                if store is None and injector is not None and not per_read:
+                    store = self.materialize(injector, seed=seed)
+                if per_read or store is None:
+                    hook = previous if injector is None else injector
+                else:
+                    hook = _StaticStoreReader(live, store)
             was_training = network.training
             if was_training:
                 network.eval()
-            previous = network.fault_injector
-            # The injector swap walks every layer twice per dispatch; skip it
-            # when the plan leaves nothing for the reader to serve (every
-            # store tensor became codes behind a kernel) and no stale
-            # injector could intercept a load.
-            swap_hook = bool(plan.float_store) or previous is not None
+            swap_hook = hook is not previous
             if swap_hook:
-                network.set_fault_injector(
-                    _StaticStoreReader(None, plan.float_store))
-            plan.install(network)
+                network.set_fault_injector(hook)
+            if qplan is not None:
+                qplan.install(network)
             try:
-                return body()
+                _reseed(live, seed)
+                yield live, qplan
             finally:
-                plan.uninstall(network)
+                if qplan is not None:
+                    qplan.uninstall(network)
                 if swap_hook:
                     network.set_fault_injector(previous)
                 if was_training:
@@ -592,16 +631,16 @@ class InferenceSession:
         metric = self.metric if metric is None else metric
         inputs, labels = _resolve_arrays(dataset if dataset is not None
                                          else self.dataset)
-
-        if self._integer_mode_active(injector, semantics):
-            return self._evaluate_integer(injector, inputs, labels, metric,
-                                          repeats, seed)
-
-        store: Optional[Dict[str, np.ndarray]] = None
-        if injector is not None and semantics is ReadSemantics.STATIC_STORE:
-            store = self.materialize(injector, seed=seed)
-        return self._evaluate_fp32(injector, store, inputs, labels, metric,
-                                   repeats, seed, stride)
+        scores: List[float] = []
+        with self._bound(injector, semantics, seed, ifm_errors=True) \
+                as (live, _):
+            for repeat in range(repeats):
+                _reseed(live, seed + repeat * stride)
+                self.stats["evaluations"] += 1
+                scores.append(_metric_evaluate(self.network, inputs, labels,
+                                               metric=metric,
+                                               batch_size=self.batch_size))
+        return float(np.mean(scores))
 
     # -- serving ------------------------------------------------------------------
     def predict(self, inputs: np.ndarray, *, pad_to: Optional[int] = None,
@@ -625,8 +664,11 @@ class InferenceSession:
             independent of how many (and which) other requests share its
             batch — the property the micro-batcher's bit-identity guarantee
             rests on (BLAS kernels round differently for different matrix
-            shapes, so *dynamic* batch shapes do not have it).  ``None``
-            chunks by the session's ``batch_size`` without padding.
+            shapes, so *dynamic* batch shapes do not have it).  A fused
+            integer plan is exact at any batch shape, so it chunks by
+            ``pad_to`` without padding: the forward pass sees the batch's
+            own row count.  ``None`` chunks by the session's ``batch_size``
+            without padding.
         ifm_errors:
             Static-store mode serves weights from the materialized store and,
             by default, IFMs from reliable DRAM (no injection) — batching
@@ -658,117 +700,35 @@ class InferenceSession:
                 f"got {inputs.shape}"
             )
         seed = self.seed if seed is None else int(seed)
-        injector = self.injector
-
-        if self._integer_mode_active(injector, self.semantics):
-            if ifm_errors:
-                raise ValueError(
-                    "integer execution serves IFMs from reliable DRAM; use "
-                    "execution_mode=FP32 (or AUTO without a quantized "
-                    "transform) for ifm_errors=True")
-            plan = self._quantized_plan(injector, seed)
-            outputs = self._run_with_plan(
-                plan, lambda: self._forward_chunks(inputs, pad_to, deadline))
-            self.stats["predictions"] += len(inputs)
-            return self._stack_outputs(outputs)
-
-        if injector is None:
-            hook = self.network.fault_injector
-        elif self.semantics is ReadSemantics.STATIC_STORE:
-            store = self.materialize(injector, seed=seed)
-            hook = _StaticStoreReader(injector if ifm_errors else None, store)
-        else:
-            hook = injector
-        reseed_stream = injector is not None and (
-            ifm_errors or self.semantics is ReadSemantics.PER_READ)
-
-        was_training = self.network.training
-        if was_training:
-            self.network.eval()
-        previous = self.network.fault_injector
-        self.network.set_fault_injector(hook)
-        try:
-            if reseed_stream:
-                _reseed(injector, seed)
-            outputs = self._forward_chunks(inputs, pad_to, deadline)
-        finally:
-            self.network.set_fault_injector(previous)
-            if was_training:
-                self.network.train()
-        self.stats["predictions"] += len(inputs)
-        return self._stack_outputs(outputs)
-
-    def _forward_chunks(self, inputs: np.ndarray, pad_to: Optional[int],
-                        deadline: Optional[float]) -> List[np.ndarray]:
-        """The shared chunk loop behind :meth:`predict` (both GEMM paths)."""
+        if ifm_errors and self._integer_mode_active(self.injector,
+                                                    self.semantics):
+            raise ValueError(
+                "integer execution serves IFMs from reliable DRAM; use "
+                "execution_mode=FP32 (or AUTO without a quantized "
+                "transform) for ifm_errors=True")
         chunk = int(pad_to) if pad_to else self.batch_size
         outputs: List[np.ndarray] = []
-        for start in range(0, len(inputs), chunk):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise DeadlineExceeded(
-                    f"deadline passed with {len(inputs) - start} of "
-                    f"{len(inputs)} rows unserved")
-            block = inputs[start:start + chunk]
-            if pad_to and len(block) < chunk:
-                padded = np.zeros((chunk,) + block.shape[1:],
-                                  dtype=block.dtype)
-                padded[:len(block)] = block
-                outputs.append(self.network.forward(padded)[:len(block)])
-            else:
-                outputs.append(self.network.forward(block))
-        return outputs
-
-    def _stack_outputs(self, outputs: List[np.ndarray]) -> np.ndarray:
+        with self._bound(self.injector, self.semantics, seed,
+                         ifm_errors) as (_, qplan):
+            # Integer plans are exact at any shape: only FP32 pads.
+            pad = bool(pad_to) and qplan is None
+            for start in range(0, len(inputs), chunk):
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise DeadlineExceeded(
+                        f"deadline passed with {len(inputs) - start} of "
+                        f"{len(inputs)} rows unserved")
+                block = inputs[start:start + chunk]
+                if pad and len(block) < chunk:
+                    padded = np.zeros((chunk,) + block.shape[1:],
+                                      dtype=block.dtype)
+                    padded[:len(block)] = block
+                    outputs.append(self.network.forward(padded)[:len(block)])
+                else:
+                    outputs.append(self.network.forward(block))
+        self.stats["predictions"] += len(inputs)
         if not outputs:
             return np.empty((0, self.network.num_classes), dtype=np.float32)
         return np.concatenate(outputs)
-
-    def _evaluate_fp32(self, injector, store, inputs, labels, metric,
-                       repeats, seed, stride) -> float:
-        """Scoring loop on the float path, under static-store or per-read."""
-        network = self.network
-        if injector is None:
-            hook = network.fault_injector   # plain eval under the current hooks
-        elif store is not None:
-            hook = _StaticStoreReader(injector, store)
-        else:
-            hook = injector
-        scores: List[float] = []
-        previous = network.fault_injector
-        network.set_fault_injector(hook)
-        try:
-            for repeat in range(repeats):
-                if injector is not None:
-                    _reseed(injector, seed + repeat * stride)
-                self.stats["evaluations"] += 1
-                scores.append(_metric_evaluate(network, inputs, labels,
-                                               metric=metric,
-                                               batch_size=self.batch_size))
-        finally:
-            network.set_fault_injector(previous)
-        return float(np.mean(scores))
-
-    def _evaluate_integer(self, injector, inputs, labels, metric, repeats,
-                          seed) -> float:
-        """Scoring loop over the fused integer plan.
-
-        The store is fixed and the plan serves IFMs reliably, so every
-        repeat is the same deterministic computation — matching the fake
-        path's static-store behavior, where reseeding between repeats only
-        moves streams the quantized transform never draws from.
-        """
-        plan = self._quantized_plan(injector, seed)
-
-        def body() -> float:
-            scores: List[float] = []
-            for _ in range(repeats):
-                self.stats["evaluations"] += 1
-                scores.append(_metric_evaluate(self.network, inputs, labels,
-                                               metric=metric,
-                                               batch_size=self.batch_size))
-            return float(np.mean(scores))
-
-        return self._run_with_plan(plan, body)
 
     def close(self) -> None:
         """Release what the session owns: unlink its shared-memory export.

@@ -92,8 +92,8 @@ def _pad_nchw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 #: cached (OH*OW, C*KH*KW) gather tables, keyed by the full unfold geometry.
-#: Serving dispatches run at a static shape, so each conv layer resolves to
-#: one table, built once.
+#: The key leaves out the batch size, so each conv layer resolves to one
+#: table, built once, whatever row count a dispatch runs at.
 _GATHER_CACHE: dict = {}
 
 

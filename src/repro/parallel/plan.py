@@ -124,7 +124,9 @@ class PlanHandle:
     optional), ``store_key`` reprs the injector fingerprint the store was
     materialized for, and ``injector`` optionally carries a pickled injector
     for plans that keep injecting on the worker side (per-read semantics or
-    per-dispatch IFM errors).
+    per-dispatch IFM errors).  ``semantics`` (a :class:`ReadSemantics` value)
+    and ``seed`` are the exporting session's, so a worker session reads and
+    reseeds exactly like its owner.
     """
 
     token: str
@@ -134,6 +136,8 @@ class PlanHandle:
     store: Optional[StoreHandle] = None
     store_key: Optional[str] = None
     injector: Optional[bytes] = None
+    semantics: str = "static-store"
+    seed: int = 0
     #: pickled metadata of a compiled integer plan (bits, per-tensor scales,
     #: which store entries are code arrays).  When set, ``store`` carries the
     #: *integer code arrays* plus the non-GEMM float store — no float detour
@@ -251,8 +255,9 @@ def export_session_plan(session, *, include_injector: bool = False
     dataset — what :class:`repro.parallel.executor.SweepExecutor` workers
     need, since they materialize their own store per task (deterministic,
     hence bit-identical to the owner's).
-    ``include_injector`` pickles the injector so workers can keep injecting
-    per read (per-dispatch IFM errors, or per-read semantics).  The export
+    Per-read sessions always ship their pickled injector (it *is* their
+    read semantics); ``include_injector`` ships a static-store session's
+    injector too, for workers serving per-dispatch IFM errors.  The export
     runs under the network's canonical lock so the weight copy cannot
     observe another export's stub window.  Returns the owning
     :class:`ExportedPlan`.
@@ -300,8 +305,9 @@ def export_session_plan(session, *, include_injector: bool = False
         if dataset_store is not None:
             segments.append(dataset_store)
         injector_bytes = None
-        if include_injector and session.injector is not None and \
-                not integer_mode:
+        per_read = session.semantics is ReadSemantics.PER_READ
+        if (include_injector or per_read) and session.injector is not None \
+                and not integer_mode:
             injector_bytes = pickle.dumps(session.injector,
                                           protocol=pickle.HIGHEST_PROTOCOL)
         handle = PlanHandle(
@@ -313,6 +319,8 @@ def export_session_plan(session, *, include_injector: bool = False
             store_key=store_key,
             injector=injector_bytes,
             qplan=qplan_bytes,
+            semantics=session.semantics.value,
+            seed=session.seed,
         )
         return ExportedPlan(handle, segments)
 

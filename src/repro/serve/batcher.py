@@ -8,12 +8,13 @@ get a future back; a worker coalesces queued samples into batches of up to
 each batch through one compiled session, and splits the output rows back into
 the per-request futures.
 
-Determinism: when the dispatch function runs at a *static* batch shape
-(:meth:`InferenceSession.predict` with ``pad_to=max_batch``), a request's
-result is bit-identical however the queue happened to be coalesced — one
-request per batch, full batches, or anything between.  The correctness tests
-and the serving benchmark pin exactly this: coalesced results equal
-per-request serial evaluation, bit for bit, for fixed seeds.
+Determinism: when the dispatch function is :meth:`InferenceSession.predict`
+with ``pad_to=max_batch`` — FP32 plans then run at a *static* batch shape,
+and fused integer plans are exact at any shape — a request's result is
+bit-identical however the queue happened to be coalesced: one request per
+batch, full batches, or anything between.  The correctness tests and the
+serving benchmark pin exactly this: coalesced results equal per-request
+serial evaluation, bit for bit, for fixed seeds.
 
 Two front ends share the same dispatch logic:
 
@@ -61,8 +62,9 @@ class MicroBatcher:
         output array whose row ``i`` is request ``i``'s result (typically a
         bound :meth:`InferenceSession.predict`).  If it also exposes
         ``submit(batch) -> Future`` (e.g.
-        :class:`repro.parallel.PlanDispatcher`), :meth:`flush` pipelines
-        every ready batch through it concurrently.
+        :class:`repro.parallel.PlanDispatcher`), batches go through that
+        instead, and :meth:`flush` keeps every ready batch in flight at
+        once.
     max_batch:
         Largest number of requests coalesced into one dispatch.
     max_wait_ms:
@@ -91,7 +93,7 @@ class MicroBatcher:
         self.telemetry = telemetry
         self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue()
         self._closed = False
-        #: serializes every _run_batch (worker vs flush callers) and keeps
+        #: serializes every _run_batches (worker vs flush callers) and keeps
         #: concurrent flushes from splitting one FIFO batch.
         self._flush_lock = threading.Lock()
         #: cheap guard pairing submit()'s closed-check with its enqueue, so a
@@ -130,32 +132,23 @@ class MicroBatcher:
 
         Requests are dispatched in FIFO order in chunks of ``max_batch``.
         Safe to call in auto mode too (the lock keeps worker and caller from
-        splitting one batch).  A process-backed dispatcher (anything
+        splitting one batch).  Every ready batch is submitted before the
+        first result is awaited, so a process-backed dispatcher (anything
         exposing ``submit(batch) -> Future``, e.g.
-        :class:`repro.parallel.PlanDispatcher`) has every ready batch
-        submitted before the first result is awaited, so all its workers
-        run concurrently; batch composition — and therefore every result —
-        is identical to the sequential path.  Returns the number of
-        requests drained from the queue (served, or failed as expired).
+        :class:`repro.parallel.PlanDispatcher`) runs all its workers
+        concurrently; batch composition — and therefore every result — is
+        the same as one batch at a time.  Returns the number of requests
+        drained from the queue (served, or failed as expired).
         """
-        submit = getattr(self.dispatch, "submit", None)
-        dispatched = 0
-        while True:
-            with self._flush_lock:
-                if submit is not None:
-                    batches = []
-                    while True:
-                        batch = self._take_ready_batch()
-                        if not batch:
-                            break
-                        batches.append(batch)
-                    self._run_batches_pipelined(batches, submit)
-                    return dispatched + sum(len(batch) for batch in batches)
+        with self._flush_lock:
+            batches = []
+            while True:
                 batch = self._take_ready_batch()
                 if not batch:
-                    return dispatched
-                self._run_batch(batch)
-            dispatched += len(batch)
+                    break
+                batches.append(batch)
+            self._run_batches(batches)
+        return sum(len(batch) for batch in batches)
 
     def close(self) -> None:
         """Stop accepting requests, flush the queue, and join the worker."""
@@ -225,7 +218,7 @@ class MicroBatcher:
                 break
             if item is None:
                 with self._flush_lock:
-                    self._run_batch(batch)
+                    self._run_batches([batch])
                 return None
             batch.append(item)
         return batch
@@ -237,7 +230,7 @@ class MicroBatcher:
                 return
             if batch:
                 with self._flush_lock:
-                    self._run_batch(batch)
+                    self._run_batches([batch])
 
     def _drop_expired(self, batch: List[_Pending]) -> List[_Pending]:
         """Claim a batch's futures, dropping expired or abandoned requests.
@@ -266,18 +259,26 @@ class MicroBatcher:
                 live.append(pending)
         return live
 
-    def _run_batches_pipelined(self, batches: List[List[_Pending]],
-                               submit) -> None:
-        """Submit every batch through ``submit``, then fan results back out.
+    def _submit(self, inputs: np.ndarray) -> Future:
+        """Start one dispatch; a synchronous one returns a completed future."""
+        submit = getattr(self.dispatch, "submit", None)
+        if submit is not None:
+            return submit(inputs)
+        future: Future = Future()
+        future.set_result(self.dispatch(inputs))
+        return future
+
+    def _run_batches(self, batches: List[List[_Pending]]) -> None:
+        """Submit every batch, then fan results back out in FIFO order.
 
         All batches go in before any result is awaited, so a process-backed
-        dispatcher keeps its whole worker pool busy; results are gathered
-        (and futures resolved) in FIFO batch order.  A failed submission or
-        execution fails only its own batch's futures.  Telemetry times each
-        batch from its own submission to its own completion (recorded by a
-        done-callback, so a batch finishing while an earlier one is still
-        being gathered is not billed for the head-of-line wait).  Callers
-        must hold ``_flush_lock``.
+        dispatcher keeps its whole worker pool busy (a synchronous dispatch
+        has finished by the time :meth:`_submit` returns).  A failed
+        submission or execution fails only its own batch's futures.
+        Telemetry times each batch from its own submission to its own
+        completion (recorded by a done-callback, so a batch finishing while
+        an earlier one is still being gathered is not billed for the
+        head-of-line wait).  Callers must hold ``_flush_lock``.
         """
         in_flight = []
         done_at: dict = {}
@@ -289,7 +290,7 @@ class MicroBatcher:
             try:
                 # np.stack inside the try: a shape-mismatched sample must
                 # fail its batch's futures, not abort the whole flush.
-                future = submit(np.stack([p.sample for p in batch]))
+                future = self._submit(np.stack([p.sample for p in batch]))
             except Exception as error:
                 for pending in batch:
                     pending.future.set_exception(error)
@@ -315,27 +316,3 @@ class MicroBatcher:
                     self.telemetry.record_request(
                         self.name, finished - pending.enqueued_at)
                 pending.future.set_result(outputs[row])
-
-    def _run_batch(self, batch: List[_Pending]) -> None:
-        """Dispatch one coalesced batch and fan results back out."""
-        batch = self._drop_expired(batch)
-        if not batch:
-            return
-        started = time.perf_counter()
-        try:
-            # np.stack inside the try: a shape-mismatched sample must fail
-            # its batch's futures, not kill the worker thread.
-            outputs = self.dispatch(np.stack([p.sample for p in batch]))
-        except Exception as error:       # propagate to every caller
-            for pending in batch:
-                pending.future.set_exception(error)
-            return
-        finished = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.record_batch(self.name, len(batch),
-                                        finished - started)
-        for row, pending in enumerate(batch):
-            if self.telemetry is not None:
-                self.telemetry.record_request(
-                    self.name, finished - pending.enqueued_at)
-            pending.future.set_result(outputs[row])

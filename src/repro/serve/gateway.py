@@ -15,12 +15,13 @@ inference traffic).  It composes the three serving pieces:
   cache hit/miss counters.
 
 Execution contract: dispatches run through
-:meth:`InferenceSession.predict` at a *static* batch shape
-(``pad_to=max_batch``, unless ``pad_batches=False``), so a request's result
-is bit-identical whether it was served alone or coalesced with ``max_batch-1``
-neighbours.  Weights come from the materialized store; IFM loads are served
-reliably by default (``ifm_errors=True`` opts into per-dispatch IFM
-injection, which trades away batching-invariance — see
+:meth:`InferenceSession.predict` with ``pad_to=max_batch``.  FP32 plans pad
+every forward pass to that static shape; fused integer plans are exact at
+any shape and run each batch at its own row count.  Either way a request's
+result is bit-identical whether it was served alone or coalesced with
+``max_batch-1`` neighbours.  Weights come from the materialized store; IFM
+loads are served reliably by default (``ifm_errors=True`` opts into
+per-dispatch IFM injection, which trades away batching-invariance — see
 ``docs/serving.md``).
 
 Endpoints that share one underlying :class:`~repro.nn.network.Network`
@@ -57,8 +58,8 @@ class ServeConfig:
 
     ``max_batch`` and ``max_wait_ms`` parameterize each endpoint's
     micro-batcher (largest coalesced batch / how long an underfull batch
-    waits for stragglers); ``pad_batches`` keeps the static-shape execution
-    contract that makes batching bit-invariant; ``max_sessions`` and
+    waits for stragglers; FP32 endpoints pad every dispatch to
+    ``max_batch``, which makes batching bit-invariant); ``max_sessions`` and
     ``memory_budget_bytes`` bound the session registry; ``auto_flush``
     selects the threaded front end (``False`` defers dispatch to explicit
     ``flush()`` calls — deterministic, used by benchmarks); ``ifm_errors``
@@ -73,7 +74,6 @@ class ServeConfig:
 
     max_batch: int = 32
     max_wait_ms: float = 2.0
-    pad_batches: bool = True
     max_sessions: int = 8
     memory_budget_bytes: Optional[int] = None
     auto_flush: bool = True
@@ -171,10 +171,10 @@ class ServingGateway:
         ``dispatch_processes`` > 0 the callable is a
         :class:`repro.parallel.PlanDispatcher` running the exported plan in
         worker processes (returned again as the closeable dispatcher);
-        otherwise it is an in-process closure running static-shape
-        ``predict`` under the per-network lock.
+        otherwise it is an in-process closure running
+        ``predict(pad_to=max_batch)`` under the per-network lock.
         """
-        pad_to = self.config.max_batch if self.config.pad_batches else None
+        pad_to = self.config.max_batch
         ifm_errors = self.config.ifm_errors
         if self.config.dispatch_processes > 0:
             # Late import: repro.parallel builds on the engine and is only

@@ -146,9 +146,12 @@ class ReplicaManager:
     batch_size:
         Chunking default of each replica's rebuilt sessions.
     serve_config:
-        Gateway config every replica runs (micro-batcher shape —
-        ``max_batch`` must match the reference session's padding for the
-        bit-identity guarantee); defaults apply when omitted.
+        Gateway config every replica runs; defaults apply when omitted.
+        For FP32 endpoints ``max_batch`` must match the reference
+        session's ``pad_to`` for the bit-identity guarantee (integer plans
+        are exact at any batch shape).  ``ifm_errors=True`` ships each
+        exported session's injector so replicas inject IFMs like
+        ``predict(..., ifm_errors=True)``.
     server_config:
         HTTP config every replica runs; the port is forced ephemeral so
         replicas never collide.  Defaults apply when omitted.
@@ -175,7 +178,8 @@ class ReplicaManager:
             if isinstance(source, ExportedPlan):
                 self._plans[name] = source.retain()
             else:
-                self._plans[name] = export_session_plan(source)
+                self._plans[name] = export_session_plan(
+                    source, include_injector=self.serve_config.ifm_errors)
         self._replicas: List[LocalReplica] = []
         self._spawned = 0
         self._closed = False

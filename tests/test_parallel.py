@@ -19,6 +19,9 @@ from repro.dram.device import ApproximateDram, DramOperatingPoint
 from repro.dram.error_models import make_error_model
 from repro.dram.injection import BitErrorInjector
 from repro.engine.session import InferenceSession, ReadSemantics
+from repro.nn.models import build_model_with_dataset
+from repro.nn.network import Network
+from repro.nn.quantization import QuantizedLoadTransform
 from repro.nn.tensor import DataKind
 from repro.parallel import (
     PlanDispatcher,
@@ -29,6 +32,7 @@ from repro.parallel import (
     export_session_plan,
     network_skeleton,
     restore_network,
+    session_from_plan,
 )
 from repro.serve import ServeConfig, ServingGateway
 
@@ -439,6 +443,115 @@ class TestMultiProcessServing:
         finally:
             dispatcher.close()
             session.invalidate()
+
+
+def replica_parity_session(kind, network, dataset):
+    """``(session, ifm_errors)`` for a session whose reads stay live.
+
+    ``"per_read"`` draws fresh errors on every load; ``"ifm_errors"`` is a
+    static store served with per-dispatch IFM injection.  The session seed
+    differs from the injector's construction seed, so a copy that forgot to
+    reseed per dispatch shows in the bytes.
+    """
+    per_read = kind == "per_read"
+    injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0), seed=0)
+    semantics = (ReadSemantics.PER_READ if per_read
+                 else ReadSemantics.STATIC_STORE)
+    return InferenceSession(network, dataset, injector=injector,
+                            semantics=semantics, seed=5), not per_read
+
+
+class TestReplicaParity:
+    """A session rebuilt from an export reads and reseeds like its owner."""
+
+    @pytest.mark.parametrize("kind", ["per_read", "ifm_errors"])
+    def test_session_from_plan_matches_owner(self, lenet_clone, kind):
+        network, dataset, _ = lenet_clone
+        session, ifm_errors = replica_parity_session(kind, network, dataset)
+        inputs = np.asarray(dataset.val_x[:10])
+        reference = session.predict(inputs, pad_to=8, ifm_errors=ifm_errors)
+        with export_session_plan(session,
+                                 include_injector=ifm_errors) as export:
+            replica = session_from_plan(export.handle)
+            for _ in range(2):       # every call reseeds, like the owner's
+                rows = replica.predict(inputs, pad_to=8,
+                                       ifm_errors=ifm_errors)
+                assert rows.tobytes() == reference.tobytes()
+
+
+def _int8_session(network, dataset, metric):
+    inner = BitErrorInjector(make_error_model(0, 1e-3, seed=0), bits=8,
+                             data_kinds={DataKind.WEIGHT}, seed=0)
+    return InferenceSession(network, dataset, metric=metric,
+                            injector=QuantizedLoadTransform(8, inner=inner),
+                            execution_mode="integer")
+
+
+def _spy_forward_rows(monkeypatch, path):
+    """Record each ``Network.forward`` call's row count in ``path``.
+
+    Patched on the class, so forked dispatch workers record too.  Returns a
+    callable reading (and clearing) the recorded counts.
+    """
+    original = Network.forward
+
+    def forward(self, x):
+        with open(path, "a") as log:
+            log.write(f"{len(x)}\n")
+        return original(self, x)
+
+    monkeypatch.setattr(Network, "forward", forward)
+
+    def seen():
+        if not path.exists():
+            return []
+        counts = [int(line) for line in path.read_text().split()]
+        path.unlink()
+        return counts
+    return seen
+
+
+class TestShapeExactDispatch:
+    """Integer plans run each batch at its own row count; FP32 pads."""
+
+    MAX_BATCH = 8
+
+    @pytest.mark.parametrize("model", ["lenet", "mobilenetv2"])
+    def test_integer_rows_unpadded_and_exact(self, model, monkeypatch,
+                                             tmp_path):
+        network, dataset, spec = build_model_with_dataset(model, seed=0)
+        session = _int8_session(network, dataset, spec.metric)
+        inputs = np.asarray(dataset.val_x[:self.MAX_BATCH], dtype=np.float32)
+        serial = np.concatenate([
+            session.predict(inputs[i:i + 1], pad_to=self.MAX_BATCH)
+            for i in range(self.MAX_BATCH)])
+        seen = _spy_forward_rows(monkeypatch, tmp_path / "rows")
+        for n in range(1, self.MAX_BATCH + 1):
+            rows = session.predict(inputs[:n], pad_to=self.MAX_BATCH)
+            assert seen() == [n]
+            assert rows.tobytes() == serial[:n].tobytes()
+        with PlanDispatcher(session, processes=1,
+                            pad_to=self.MAX_BATCH) as dispatcher:
+            for n in range(1, self.MAX_BATCH + 1):
+                rows = dispatcher(inputs[:n])
+                assert seen() == [n]
+                assert rows.tobytes() == serial[:n].tobytes()
+
+    def test_fp32_pads_to_static_shape(self, lenet_clone, monkeypatch,
+                                       tmp_path):
+        network, dataset, _ = lenet_clone
+        injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
+                                    data_kinds={DataKind.WEIGHT}, seed=0)
+        session = InferenceSession(network, dataset, injector=injector)
+        inputs = np.asarray(dataset.val_x[:3])
+        session.predict(inputs, pad_to=self.MAX_BATCH)      # materialize
+        seen = _spy_forward_rows(monkeypatch, tmp_path / "rows")
+        session.predict(inputs, pad_to=self.MAX_BATCH)
+        assert seen() == [self.MAX_BATCH]
+        with PlanDispatcher(session, processes=1,
+                            pad_to=self.MAX_BATCH) as dispatcher:
+            dispatcher(inputs)
+            assert seen() == [self.MAX_BATCH]
 
 
 class TestBoostingParallel:

@@ -33,6 +33,8 @@ from repro.serve.router import (
     route_in_thread,
 )
 
+from tests.test_parallel import replica_parity_session
+
 
 @pytest.fixture(scope="module")
 def routed_lenet():
@@ -253,6 +255,30 @@ class TestReplicaFailure:
             handle.stop()
             manager.close()
             gateway.close()
+
+
+class TestReplicaParity:
+    def test_live_replica_matches_owner_predict(self, lenet_clone):
+        # Per-read endpoints and IFM-injecting static stores keep drawing
+        # errors on the replica side: the replica's session must carry the
+        # owner's injector, semantics and seed to return the owner's bytes.
+        network, dataset, _ = lenet_clone
+        sessions = {kind: replica_parity_session(kind, network, dataset)[0]
+                    for kind in ("per_read", "ifm_errors")}
+        samples = np.asarray(dataset.val_x[:4])
+        with ReplicaManager(sessions, serve_config=ServeConfig(
+                max_batch=8, ifm_errors=True)) as manager:
+            target = loadgen.HttpTarget(manager.spawn().url)
+            try:
+                for name, session in sessions.items():
+                    for sample in samples:
+                        record = target.predict(name, sample)
+                        assert record.ok, record.error
+                        reference = session.predict(sample[None], pad_to=8,
+                                                    ifm_errors=True)
+                        assert record.row.tobytes() == reference[0].tobytes()
+            finally:
+                target.close()
 
 
 class _FakeReplicaHandler(BaseHTTPRequestHandler):
