@@ -10,7 +10,10 @@ benchmark harness (:mod:`repro.analysis.perfhistory`) — the
   dispatches of up to ``--max-batch`` through one compiled static-store
   plan) vs a gateway compiled at batch shape 1 (one forward pass per
   request).  The per-layer cost of a forward pass amortizes over the batch,
-  so coalescing is where serving throughput comes from.
+  so coalescing is where serving throughput comes from.  The two passes
+  are timed as ``TIMING_PAIRS`` interleaved (serial, micro-batched) pairs
+  and the speedup is the median per-pair ratio, so one noisy ~0.1 s pass
+  cannot decide the gate.
 * **Bit-identity** — coalesced results must equal strictly serial
   per-request dispatch through the same compiled plan, bit for bit (static
   batch shapes make a request's result independent of its batch
@@ -59,6 +62,9 @@ from repro.serve.gateway import ServeConfig, ServingGateway  # noqa: E402
 
 SPEC = BENCHMARKS["serving"]
 
+#: interleaved (serial, micro-batched) timing pairs behind the median speedup.
+TIMING_PAIRS = 5
+
 
 def measure_serving(model_name: str = "lenet", *, ber: float = 1e-3,
                     model_id: int = 0, n_requests: int = 256,
@@ -73,10 +79,12 @@ def measure_serving(model_name: str = "lenet", *, ber: float = 1e-3,
     reference for the bit-identity check).  ``max_batch`` is the
     micro-batcher's coalescing bound, ``seed`` fixes every stream, and
     ``dtype`` selects the stored precision / execution path of every
-    endpoint under test (see :func:`serving_injector`).
-    Returns a JSON-serializable dict with timings, the headline
-    ``microbatch_speedup``, ``bit_identical``, cold/warm registry seconds,
-    and the gateway telemetry snapshot.
+    endpoint under test (see :func:`serving_injector`).  The serial and
+    micro-batched passes run as :data:`TIMING_PAIRS` interleaved pairs.
+    Returns a JSON-serializable dict with median timings, the headline
+    ``microbatch_speedup`` (median per-pair ratio) and the per-pair
+    ``pair_speedups``, ``bit_identical``, cold/warm registry seconds, and
+    the gateway telemetry snapshot.
     """
     network, dataset, spec = build_model_with_dataset(model_name, seed=seed)
     network.eval()
@@ -105,17 +113,24 @@ def measure_serving(model_name: str = "lenet", *, ber: float = 1e-3,
                             seed=seed, metric=spec.metric,
                             execution_mode=execution_mode)
     serial_gateway.predict(model_name, requests[0])      # warm caches
-    started = time.perf_counter()
-    serial_outputs = serial_gateway.predict_many(model_name, requests,
-                                                 coalesce=False)
-    serial_seconds = time.perf_counter() - started
 
     # -- micro-batched serving through the shared plan ---------------------------
     gateway.predict(model_name, requests[0])             # warm caches
-    started = time.perf_counter()
-    batched_outputs = gateway.predict_many(model_name, requests,
-                                           coalesce=True)
-    batched_seconds = time.perf_counter() - started
+
+    # Interleaved pairs: a scheduler stall hits one pair, not the median.
+    serial_times, batched_times = [], []
+    for _ in range(TIMING_PAIRS):
+        started = time.perf_counter()
+        serial_outputs = serial_gateway.predict_many(model_name, requests,
+                                                     coalesce=False)
+        serial_times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        batched_outputs = gateway.predict_many(model_name, requests,
+                                               coalesce=True)
+        batched_times.append(time.perf_counter() - started)
+    pair_speedups = [s / b for s, b in zip(serial_times, batched_times)]
+    serial_seconds = float(np.median(serial_times))
+    batched_seconds = float(np.median(batched_times))
 
     # -- bit-identity: coalesced vs serial dispatch, same compiled shape ---------
     reference_outputs = gateway.predict_many(model_name, requests,
@@ -161,7 +176,8 @@ def measure_serving(model_name: str = "lenet", *, ber: float = 1e-3,
         "client_threads": int(client_threads),
         "serial_batch1_seconds": serial_seconds,
         "microbatched_seconds": batched_seconds,
-        "microbatch_speedup": serial_seconds / batched_seconds,
+        "pair_speedups": pair_speedups,
+        "microbatch_speedup": float(np.median(pair_speedups)),
         "async_seconds": async_seconds,
         "serial_rps": n_requests / serial_seconds,
         "microbatched_rps": n_requests / batched_seconds,
@@ -204,7 +220,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"  async, {record['client_threads']} clients     "
           f"{record['async_seconds']:8.3f} s  "
           f"({record['async_rps']:8,.0f} req/s)")
-    print(f"  speedup              {record['microbatch_speedup']:8.1f} x")
+    print(f"  speedup              {record['microbatch_speedup']:8.1f} x "
+          f"(median of {TIMING_PAIRS} pairs: "
+          + ", ".join(f"{r:.1f}" for r in record["pair_speedups"]) + ")")
     print(f"  bit-identical        {record['bit_identical']}")
     print(f"  registry cold/warm   {record['cold_register_seconds'] * 1e3:.1f} ms "
           f"/ {record['warm_register_seconds'] * 1e3:.2f} ms")

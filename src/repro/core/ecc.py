@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dram.packed import _hash_uniform, xor_mask_from_positions
+from repro.dram.packed import _hash_uniform
 
 
 @dataclass(frozen=True)
@@ -131,35 +131,41 @@ class RsCodecModel:
         ``stored`` are the ground-truth words written to DRAM, ``observed``
         what the read returned (``bits_per_word`` meaningful LSB-first bits
         each); consecutive data bits fill codewords of ``spec.data_bits``
-        bits.  Codewords with at most ``t`` corrupted symbols are reverted
-        to the stored bits exactly; denser codewords stay as observed
-        (flagged uncorrectable) unless the deterministic miscorrection
-        lottery — hash of the codeword index offset by ``key``, so distinct
-        tensors draw distinct lotteries — additionally garbles their first
-        symbol.  Returns the post-correction words and the
-        :class:`EccReport` accounting for every codeword.
+        bits.  Decode works on whole words: one of ``symbol_bits`` and
+        ``bits_per_word`` must divide the other and codewords must end on
+        word boundaries, else ``ValueError``.  Codewords with at most ``t``
+        corrupted symbols are reverted to the stored words exactly; denser
+        codewords stay as observed (flagged uncorrectable) unless the
+        deterministic miscorrection lottery — hash of the codeword index
+        offset by ``key``, so distinct tensors draw distinct lotteries —
+        additionally garbles their first symbol.  Returns new
+        post-correction words and the :class:`EccReport` for every codeword.
         """
         stored = np.asarray(stored, dtype=np.uint64)
         observed = np.asarray(observed, dtype=np.uint64)
         if stored.shape != observed.shape:
             raise ValueError("stored and observed must have the same shape")
         spec = self.spec
-        num_bits = stored.size * bits_per_word
-        report = EccReport()
-        if num_bits == 0:
-            return observed.copy(), report
+        width = min(spec.symbol_bits, bits_per_word)  # symbol bits per word
+        if max(spec.symbol_bits, bits_per_word) % width \
+                or spec.data_bits % bits_per_word:
+            raise ValueError(f"{bits_per_word}-bit words do not tile "
+                             f"{self.name()} symbols and codewords")
+        n = stored.size
+        if n == 0:
+            return observed.copy(), EccReport()
 
-        diff = stored ^ observed
-        shifts = np.arange(bits_per_word, dtype=np.uint64)
-        diff_bits = ((diff[:, None] >> shifts) & np.uint64(1)).astype(bool).ravel()
-
-        data_bits = spec.data_bits
-        n_codewords = -(-num_bits // data_bits)
-        padded = np.zeros(n_codewords * data_bits, dtype=bool)
-        padded[:num_bits] = diff_bits
-        symbol_errors = padded.reshape(n_codewords, spec.data_symbols,
-                                       spec.symbol_bits).any(axis=2)
-        error_counts = symbol_errors.sum(axis=1)
+        words_per_codeword = spec.data_bits // bits_per_word
+        n_codewords = -(-n // words_per_codeword)
+        diff = np.zeros(n_codewords * words_per_codeword, dtype=np.uint64)
+        np.bitwise_xor(stored, observed, out=diff[:n])   # zero-diff tail pad
+        # One column per symbol-wide slice of a word; a symbol wider than a
+        # word ORs the slices of its consecutive words.
+        mask = np.uint64((1 << width) - 1)
+        slices = np.stack([((diff >> np.uint64(shift)) & mask) != 0
+                           for shift in range(0, bits_per_word, width)], axis=1)
+        error_counts = np.count_nonzero(slices.reshape(
+            n_codewords, spec.data_symbols, -1).any(axis=2), axis=1)
 
         t = spec.correctable_symbols
         correctable = (error_counts > 0) & (error_counts <= t)
@@ -170,28 +176,21 @@ class RsCodecModel:
             lottery = _hash_uniform(indices, self.seed, stream=602)
             miscorrected = uncorrectable & (lottery < self.miscorrection_rate)
 
-        report.codewords = int(n_codewords)
-        report.corrected_codewords = int(correctable.sum())
-        report.corrected_symbols = int(symbol_errors[correctable].sum())
-        report.miscorrected_codewords = int(miscorrected.sum())
-        report.uncorrectable_codewords = int(uncorrectable.sum()
-                                             - miscorrected.sum())
-
-        revert = padded & np.repeat(correctable, data_bits)
+        report = EccReport(
+            codewords=int(n_codewords),
+            corrected_codewords=int(correctable.sum()),
+            corrected_symbols=int(error_counts[correctable].sum()),
+            uncorrectable_codewords=int((uncorrectable & ~miscorrected).sum()),
+            miscorrected_codewords=int(miscorrected.sum()))
+        corrected = np.where(np.repeat(correctable, words_per_codeword)[:n],
+                             stored, observed)
         if miscorrected.any():
             # A miscorrecting decoder writes garbage: garble the first
             # symbol of each miscorrected codeword on top of the raw flips.
-            garble = np.zeros(n_codewords * data_bits, dtype=bool)
-            starts = np.nonzero(miscorrected)[0] * data_bits
-            for start in starts.tolist():
-                garble[start:start + spec.symbol_bits] = True
-            revert = revert ^ garble
-        positions = np.nonzero(revert[:num_bits])[0]
-        if positions.size == 0:
-            return observed.copy(), report
-        xor = xor_mask_from_positions(positions.astype(np.int64),
-                                      stored.size, bits_per_word)
-        return observed ^ xor, report
+            starts = np.nonzero(miscorrected)[0] * words_per_codeword
+            words = starts[:, None] + np.arange(spec.symbol_bits // width)
+            corrected[words[words < n]] ^= mask
+        return corrected, report
 
 
 #: named codec registry for the ``correction=`` string API.

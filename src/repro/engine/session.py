@@ -190,8 +190,22 @@ def _resolve_codec(correction):
     return correction
 
 
+def _stream_owner(injector):
+    """The injector whose stream ``injector`` draws from, or None.
+
+    Wrappers with neither ``reseed`` nor ``_rng`` (e.g.
+    :class:`~repro.nn.quantization.QuantizedLoadTransform`) draw from their
+    ``inner`` injector's stream.
+    """
+    while injector is not None and not (hasattr(injector, "reseed")
+                                        or hasattr(injector, "_rng")):
+        injector = getattr(injector, "inner", None)
+    return injector
+
+
 def _reseed(injector, seed: int) -> None:
     """Restart an injector's stream using the runner's historical convention."""
+    injector = _stream_owner(injector)
     if injector is None:
         return
     if hasattr(injector, "reseed"):
@@ -380,8 +394,10 @@ class InferenceSession:
         per-repeat IFM streams (which start at the unsalted ``seed``).  The
         pre-existing stream is restored afterwards so per-read IFM injection
         is unaffected; injectors exposing only ``reseed()`` (no ``_rng``
-        attribute) are instead re-seeded at the unsalted ``seed``.  Returns
-        the ``{tensor name: corrupted array}`` store.
+        attribute) are instead re-seeded at the unsalted ``seed``.  A
+        wrapper without a stream of its own (a quantizing load transform)
+        is resolved to the stream of its ``inner`` injector.  Returns the
+        ``{tensor name: corrupted array}`` store.
         """
         injector = self.injector if injector is _UNSET else injector
         seed = self.seed if seed is None else int(seed)
@@ -391,21 +407,22 @@ class InferenceSession:
         store: Dict[str, np.ndarray] = {}
         if injector is not None:
             params = self.network.named_parameters()
-            saved_rng = getattr(injector, "_rng", None)
-            _reseed(injector, seed ^ _MATERIALIZE_SEED_SALT)
+            owner = _stream_owner(injector)
+            saved_rng = getattr(owner, "_rng", None)
+            _reseed(owner, seed ^ _MATERIALIZE_SEED_SALT)
             try:
                 for spec in self._weight_specs():
                     store[spec.name] = injector.apply(params[spec.name].data, spec)
             finally:
                 if saved_rng is not None:
-                    injector._rng = saved_rng
+                    owner._rng = saved_rng
                 else:
                     # reseed()-only injectors (wrappers without a `_rng`
                     # attribute) cannot have their exact stream position
                     # restored; leave them at the unsalted seed — the state
                     # every repeat loop starts from — instead of the
                     # materialization stream's end.
-                    _reseed(injector, seed)
+                    _reseed(owner, seed)
             self.stats["materializations"] += 1
         self._store = store
         self._store_key = key

@@ -41,6 +41,7 @@ from repro.dram.injection import (
     inject_bit_errors,
     inject_bit_errors_reference,
 )
+from repro.dram.packed import _hash_uniform, xor_mask_from_positions
 from repro.engine.session import InferenceSession, ReadSemantics
 from repro.nn.tensor import DataKind
 from repro.parallel import PlanDispatcher
@@ -56,6 +57,49 @@ def _bits_of(words, bits_per_word):
     shifts = np.arange(bits_per_word, dtype=np.uint64)
     return ((np.asarray(words, dtype=np.uint64)[:, None] >> shifts)
             & np.uint64(1)).astype(bool).ravel()
+
+
+def _reference_correct_words(codec, stored, observed, bits_per_word, key=0):
+    """Per-bit oracle for :meth:`RsCodecModel.correct_words`.
+
+    Expands every word into one bool per bit, pads the bit stream to whole
+    codewords and counts corrupted symbols on the bit grid; corrections and
+    the first-symbol miscorrection garble are applied as bit positions.
+    """
+    spec = codec.spec
+    stored = np.asarray(stored, dtype=np.uint64)
+    observed = np.asarray(observed, dtype=np.uint64)
+    num_bits = stored.size * bits_per_word
+    report = EccReport()
+    if num_bits == 0:
+        return observed.copy(), report
+    data_bits = spec.data_bits
+    n_codewords = -(-num_bits // data_bits)
+    padded = np.zeros(n_codewords * data_bits, dtype=bool)
+    padded[:num_bits] = _bits_of(stored ^ observed, bits_per_word)
+    symbol_errors = padded.reshape(n_codewords, spec.data_symbols,
+                                   spec.symbol_bits).any(axis=2)
+    error_counts = symbol_errors.sum(axis=1)
+    t = spec.correctable_symbols
+    correctable = (error_counts > 0) & (error_counts <= t)
+    uncorrectable = error_counts > t
+    miscorrected = np.zeros(n_codewords, dtype=bool)
+    if codec.miscorrection_rate > 0.0 and uncorrectable.any():
+        indices = np.arange(n_codewords, dtype=np.uint64) + np.uint64(key)
+        lottery = _hash_uniform(indices, codec.seed, stream=602)
+        miscorrected = uncorrectable & (lottery < codec.miscorrection_rate)
+    report.codewords = int(n_codewords)
+    report.corrected_codewords = int(correctable.sum())
+    report.corrected_symbols = int(symbol_errors[correctable].sum())
+    report.miscorrected_codewords = int(miscorrected.sum())
+    report.uncorrectable_codewords = int(uncorrectable.sum()
+                                         - miscorrected.sum())
+    revert = padded & np.repeat(correctable, data_bits)
+    for start in (np.nonzero(miscorrected)[0] * data_bits).tolist():
+        revert[start:start + spec.symbol_bits] ^= True
+    positions = np.nonzero(revert[:num_bits])[0]
+    return observed ^ xor_mask_from_positions(positions, stored.size,
+                                              bits_per_word), report
 
 
 def _flip_bits(words, bits_per_word, positions):
@@ -263,6 +307,67 @@ class TestCodecCorrection:
         with pytest.raises(ValueError):
             codec.correct_words(np.zeros(2, dtype=np.uint64),
                                 np.zeros(3, dtype=np.uint64), 32)
+
+
+class TestWordLevelDecodeExactness:
+    """The word-level decoder equals the per-bit oracle, byte for byte."""
+
+    @pytest.mark.parametrize("burst", [False, True])
+    @pytest.mark.parametrize("ber", [1e-4, 1e-3, 1e-2, 1e-1])
+    @pytest.mark.parametrize("bits", [4, 8, 16, 32])
+    def test_matches_per_bit_reference(self, bits, ber, burst):
+        per_codeword = DATA_BITS // bits
+        model = (BurstErrorModel(ber, seed=5) if burst
+                 else make_error_model(0, ber, seed=5))
+        layout = DramLayout()
+        rng = np.random.default_rng(bits)
+        miscorrected = 0
+        for size in (1, per_codeword - 1, per_codeword + 1, 7, 1009, 10007):
+            stored = rng.integers(0, 1 << bits, size=size, dtype=np.uint64)
+            xor = model.flip_word_mask(stored, bits, layout, rng)
+            observed = stored ^ xor
+            for rate in (0.0, 0.5, 1.0):
+                codec = RsCodecModel(miscorrection_rate=rate, seed=11)
+                corrected, report = codec.correct_words(stored, observed,
+                                                        bits, key=977)
+                expected, expected_report = _reference_correct_words(
+                    codec, stored, observed, bits, key=977)
+                assert corrected.tobytes() == expected.tobytes()
+                assert report.as_dict() == expected_report.as_dict()
+                miscorrected += report.miscorrected_codewords
+        if ber >= 1e-1:
+            assert miscorrected > 0      # the garble path was exercised
+
+    def test_garble_clipped_to_tensor_end(self):
+        # t = 0: one corrupted int4 word is uncorrectable, and its symbol's
+        # second word lies past the end of the tensor.
+        codec = RsCodecModel(RsCodecSpec(parity_symbols=1),
+                             miscorrection_rate=1.0)
+        stored = np.array([5], dtype=np.uint64)
+        observed = stored ^ np.uint64(1)
+        corrected, report = codec.correct_words(stored, observed, 4)
+        expected, expected_report = _reference_correct_words(
+            codec, stored, observed, 4)
+        assert report.miscorrected_codewords == 1
+        assert corrected.tobytes() == expected.tobytes()
+        assert report.as_dict() == expected_report.as_dict()
+
+    def test_misaligned_words_rejected(self):
+        words = np.zeros(8, dtype=np.uint64)
+        codec = RsCodecModel(RsCodecSpec(symbol_bits=8, data_symbols=3))
+        with pytest.raises(ValueError):
+            codec.correct_words(words, words, 32)    # 24-bit codewords
+        with pytest.raises(ValueError):
+            RsCodecModel().correct_words(words, words, 12)  # 12 vs 8 bits
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 16])
+    def test_result_never_aliases_observed(self, size, flip):
+        stored = np.arange(size, dtype=np.uint64)
+        observed = stored ^ np.uint64(1) if flip else stored.copy()
+        corrected, _ = RsCodecModel().correct_words(stored, observed, 32)
+        assert not np.shares_memory(corrected, observed)
+        assert not np.shares_memory(corrected, stored)
 
 
 class TestMonotonicity:

@@ -241,6 +241,40 @@ class TestStaticStore:
         assert per_read_loads == static_loads * 4 * 2
 
 
+class TestWrappedInjectorStreams:
+    """A quantizing wrapper has no stream of its own: reseeding and the
+    materialization stream reach the injector it wraps."""
+
+    @staticmethod
+    def _session(network, dataset, semantics, seed=0):
+        inner = BitErrorInjector(make_error_model(0, 1e-2, seed=0), seed=0)
+        return InferenceSession(network, dataset,
+                                injector=QuantizedLoadTransform(8, inner=inner),
+                                semantics=semantics, seed=seed)
+
+    def test_per_read_calls_repeat(self, lenet_clone):
+        network, dataset, _ = lenet_clone
+        session = self._session(network, dataset, ReadSemantics.PER_READ)
+        inputs = np.asarray(dataset.val_x[:8])
+        first = session.predict(inputs)
+        assert session.predict(inputs).tobytes() == first.tobytes()
+        score = session.evaluate(repeats=2)
+        assert session.evaluate(repeats=2) == score
+        assert session.predict(inputs).tobytes() == first.tobytes()
+
+    def test_materialized_store_follows_session_seed(self, lenet_clone):
+        network, dataset, _ = lenet_clone
+
+        def store(seed):
+            session = self._session(network, dataset,
+                                    ReadSemantics.STATIC_STORE, seed=seed)
+            return {name: array.tobytes()
+                    for name, array in session.materialize().items()}
+
+        assert store(1) == store(1)
+        assert store(1) != store(2)
+
+
 class TestWeightOnlyInjection:
     def test_data_kinds_filter(self):
         injector = BitErrorInjector(make_error_model(0, 0.5, seed=0),
