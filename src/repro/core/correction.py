@@ -81,17 +81,8 @@ class ThresholdStore:
             store.observe(param.name, param.data)
 
         if dataset_inputs is not None and len(dataset_inputs):
-            recorder = _BoundsRecorder(store)
-            previous = network.fault_injector
-            was_training = network.training
-            network.eval()
-            network.set_fault_injector(recorder)
-            try:
+            with network.loading(_BoundsRecorder(store)):
                 network.forward(dataset_inputs[:batch_size])
-            finally:
-                network.set_fault_injector(previous)
-                if was_training:
-                    network.train()
         return store
 
 

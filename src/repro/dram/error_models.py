@@ -177,14 +177,7 @@ class ErrorModel:
         words = np.asarray(words, dtype=np.uint64)
         num_bits = words.size * bits_per_word
         bit_at = make_bit_gather(words, bits_per_word)
-        try:
-            positions, probabilities = self._packed_candidates(num_bits, layout, bit_at)
-        except NotImplementedError:
-            # Subclasses written against the original contract (only
-            # flip_probabilities) still work, at boolean-expansion speed.
-            stored_bits = bit_at(np.arange(num_bits, dtype=np.int64))
-            flips = np.nonzero(self.flip_mask(stored_bits, layout, rng))[0]
-            return xor_mask_from_positions(flips, words.size, bits_per_word)
+        positions, probabilities = self._packed_candidates(num_bits, layout, bit_at)
         flips = sample_flip_positions(rng, num_bits, positions, probabilities)
         return xor_mask_from_positions(flips, words.size, bits_per_word)
 

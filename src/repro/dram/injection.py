@@ -4,7 +4,8 @@ The paper integrates its DRAM error models into PyTorch by intercepting the
 loading of weights and IFMs, flipping bits according to the model, and then
 applying implausible-value correction.  Here the equivalent hook is an object
 with an ``apply(array, spec)`` method installed on a
-:class:`~repro.nn.network.Network`:
+:class:`~repro.nn.network.Network` (a hook that draws random numbers also
+exposes ``reseed(seed)``):
 
 * :class:`BitErrorInjector` — drives injection from a fitted/parametric
   :class:`~repro.dram.error_models.ErrorModel` (EDEN *offloading*: no device
@@ -122,7 +123,71 @@ def _consume_ecc_delta(stats: Dict[str, object],
     return delta
 
 
-class BitErrorInjector:
+class _DramLoadHook:
+    """Counters, stream, ECC decode and the read path of both DRAM injectors.
+
+    Subclasses say which loads they touch (:meth:`_touches`) and what one
+    read observes (:meth:`_read`).  A disabled hook or an untouched load
+    returns the input object uncorrected; an exact read returns it unpacked,
+    but still corrected.
+    """
+
+    def __init__(self, bits: int, corrector: Optional[Corrector], seed: int,
+                 ecc: Optional["RsCodecModel"]):
+        self.bits = int(bits)
+        self.corrector = corrector
+        self.enabled = True
+        self.ecc = ecc
+        self.ecc_stats = _new_ecc_stats()
+        self._ecc_reported = {"corrected": 0, "uncorrectable": 0}
+        self._rng = np.random.default_rng(seed)
+        self.stats = _new_stats()
+
+    def reseed(self, seed: int) -> None:
+        """Restart the injection RNG stream (per-repeat determinism)."""
+        self._rng = np.random.default_rng(seed)
+
+    def _touches(self, spec: TensorSpec) -> bool:
+        """Whether loads of ``spec`` go through approximate DRAM."""
+        return True
+
+    def _read(self, spec: TensorSpec) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """Stored words -> the words one read of ``spec`` observes (None: exact)."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    # -- Network hook ---------------------------------------------------------------
+    def apply(self, array: np.ndarray, spec: TensorSpec) -> np.ndarray:
+        self.stats["loads"] += 1
+        self.stats["values_loaded"] += int(np.asarray(array).size)
+        if not self.enabled or not self._touches(spec):
+            return array
+        read = self._read(spec)
+        if read is None:
+            out = array
+        else:
+            values = np.asarray(array, dtype=np.float32)
+            words, codec_state = tensor_to_bits(values.ravel(), self.bits)
+            observed = read(words)
+            if self.ecc is not None:
+                observed, report = self.ecc.correct_words(
+                    words, observed, self.bits,
+                    key=zlib.crc32(spec.name.encode()))
+                _record_ecc(self.ecc_stats, spec.name, report)
+            out = bits_to_tensor(observed, self.bits, codec_state).reshape(values.shape)
+        if self.corrector is not None:
+            out = self.corrector(out, spec)
+        return out
+
+    def consume_ecc_stats(self) -> Dict[str, int]:
+        """Return corrected/uncorrectable deltas since the last call.
+
+        Telemetry harvesters call this on every snapshot; the delta contract
+        means repeated snapshots never double-count a codeword.
+        """
+        return _consume_ecc_delta(self.ecc_stats, self._ecc_reported)
+
+
+class BitErrorInjector(_DramLoadHook):
     """Injects model-driven bit errors into every weight/IFM load.
 
     Parameters
@@ -160,19 +225,12 @@ class BitErrorInjector:
                  layout: Optional[DramLayout] = None,
                  data_kinds: Optional[Iterable[DataKind]] = None,
                  seed: int = 0, ecc: Optional["RsCodecModel"] = None):
+        super().__init__(bits, corrector, seed, ecc)
         self.error_model = error_model
-        self.bits = int(bits)
         self.per_tensor_ber = dict(per_tensor_ber or {})
-        self.corrector = corrector
         self.layout = layout or DramLayout()
         self.data_kinds = frozenset(data_kinds) if data_kinds is not None else None
-        self.enabled = True
-        self.ecc = ecc
-        self.ecc_stats = _new_ecc_stats()
-        self._ecc_reported = {"corrected": 0, "uncorrectable": 0}
-        self._rng = np.random.default_rng(seed)
         self._model_cache: Dict[float, ErrorModel] = {}
-        self.stats = _new_stats()
 
     # -- configuration -----------------------------------------------------------
     def set_error_model(self, error_model: ErrorModel) -> None:
@@ -191,10 +249,6 @@ class BitErrorInjector:
         """
         self.per_tensor_ber = dict(per_tensor_ber)
 
-    def reseed(self, seed: int) -> None:
-        """Restart the injection RNG stream (per-repeat determinism)."""
-        self._rng = np.random.default_rng(seed)
-
     def _model_for(self, spec: TensorSpec) -> ErrorModel:
         ber = self.per_tensor_ber.get(spec.name)
         if ber is None:
@@ -205,42 +259,19 @@ class BitErrorInjector:
             self._model_cache[ber] = cached
         return cached
 
-    # -- Network hook ---------------------------------------------------------------
-    def apply(self, array: np.ndarray, spec: TensorSpec) -> np.ndarray:
-        self.stats["loads"] += 1
-        self.stats["values_loaded"] += int(np.asarray(array).size)
-        if not self.enabled:
-            return array
-        if self.data_kinds is not None and spec.kind not in self.data_kinds:
-            return array
+    # -- read path ------------------------------------------------------------------
+    def _touches(self, spec: TensorSpec) -> bool:
+        return self.data_kinds is None or spec.kind in self.data_kinds
+
+    def _read(self, spec: TensorSpec):
         model = self._model_for(spec)
         if model.expected_ber() <= 0.0:
-            out = array
-        elif self.ecc is not None:
-            values = np.asarray(array, dtype=np.float32)
-            words, codec_state = tensor_to_bits(values.ravel(), self.bits)
-            xor_mask = model.flip_word_mask(words, self.bits, self.layout, self._rng)
-            corrected, report = self.ecc.correct_words(
-                words, words ^ xor_mask, self.bits,
-                key=zlib.crc32(spec.name.encode()))
-            _record_ecc(self.ecc_stats, spec.name, report)
-            out = bits_to_tensor(corrected, self.bits, codec_state).reshape(values.shape)
-        else:
-            out = inject_bit_errors(array, self.bits, model, self.layout, self._rng)
-        if self.corrector is not None:
-            out = self.corrector(out, spec)
-        return out
-
-    def consume_ecc_stats(self) -> Dict[str, int]:
-        """Return corrected/uncorrectable deltas since the last call.
-
-        Telemetry harvesters call this on every snapshot; the delta contract
-        means repeated snapshots never double-count a codeword.
-        """
-        return _consume_ecc_delta(self.ecc_stats, self._ecc_reported)
+            return None
+        return lambda words: words ^ model.flip_word_mask(
+            words, self.bits, self.layout, self._rng)
 
 
-class DeviceBackedInjector:
+class DeviceBackedInjector(_DramLoadHook):
     """Injects bit errors by "reading" tensors from an approximate DRAM device.
 
     Each tensor is assigned a stable base address in the device (tensors are
@@ -255,26 +286,15 @@ class DeviceBackedInjector:
                  bits: int = 32, corrector: Optional[Corrector] = None,
                  bank: int = 0, seed: int = 0,
                  ecc: Optional["RsCodecModel"] = None):
+        super().__init__(bits, corrector, seed, ecc)
         self.device = device
         self.op_point = op_point
-        self.bits = int(bits)
-        self.corrector = corrector
         self.bank = int(bank)
-        self.enabled = True
-        self.ecc = ecc
-        self.ecc_stats = _new_ecc_stats()
-        self._ecc_reported = {"corrected": 0, "uncorrectable": 0}
-        self._rng = np.random.default_rng(seed)
         self._addresses: Dict[str, int] = {}
         self._next_bit = bank * device.geometry.bank_size_bytes * 8
-        self.stats = _new_stats()
 
     def set_operating_point(self, op_point: DramOperatingPoint) -> None:
         self.op_point = op_point
-
-    def reseed(self, seed: int) -> None:
-        """Restart the injection RNG stream (per-repeat determinism)."""
-        self._rng = np.random.default_rng(seed)
 
     def _address_of(self, spec: TensorSpec) -> int:
         address = self._addresses.get(spec.name)
@@ -290,30 +310,7 @@ class DeviceBackedInjector:
             self._next_bit += size_bits
         return address
 
-    def apply(self, array: np.ndarray, spec: TensorSpec) -> np.ndarray:
-        self.stats["loads"] += 1
-        self.stats["values_loaded"] += int(np.asarray(array).size)
-        if not self.enabled:
-            return array
-        values = np.asarray(array, dtype=np.float32)
-        words, codec_state = tensor_to_bits(values.ravel(), self.bits)
+    def _read(self, spec: TensorSpec):
         address = self._address_of(spec)
-        read_back = self.device.read_words(words, self.bits, address, self.op_point,
-                                           rng=self._rng)
-        if self.ecc is not None:
-            read_back, report = self.ecc.correct_words(
-                words, read_back, self.bits, key=zlib.crc32(spec.name.encode()))
-            _record_ecc(self.ecc_stats, spec.name, report)
-        out = bits_to_tensor(read_back, self.bits, codec_state).reshape(values.shape)
-        if self.corrector is not None:
-            out = self.corrector(out, spec)
-        return out
-
-    def consume_ecc_stats(self) -> Dict[str, int]:
-        """Return corrected/uncorrectable deltas since the last call.
-
-        Same delta contract as
-        :meth:`BitErrorInjector.consume_ecc_stats`: repeated telemetry
-        snapshots never double-count a codeword.
-        """
-        return _consume_ecc_delta(self.ecc_stats, self._ecc_reported)
+        return lambda words: self.device.read_words(
+            words, self.bits, address, self.op_point, rng=self._rng)

@@ -231,18 +231,9 @@ def _calibrate_ifm_specs(session, store: Dict[str, np.ndarray], bits: int
     recorder = _CalibrationRecorder()
     if inputs is not None:
         network = session.network
-        with network_lock(network):
-            was_training = network.training
-            if was_training:
-                network.eval()
-            previous = network.fault_injector
-            network.set_fault_injector(_StaticStoreReader(recorder, store))
-            try:
-                network.forward(inputs)
-            finally:
-                network.set_fault_injector(previous)
-                if was_training:
-                    network.train()
+        with network_lock(network), \
+                network.loading(_StaticStoreReader(recorder, store)):
+            network.forward(inputs)
     specs: Dict[str, QuantizationSpec] = {}
     qmax = float(2 ** (bits - 1) - 1)
     for name, max_abs in recorder.max_abs.items():

@@ -190,28 +190,15 @@ def _resolve_codec(correction):
     return correction
 
 
-def _stream_owner(injector):
-    """The injector whose stream ``injector`` draws from, or None.
+def _reseed(hook, seed: int) -> None:
+    """Restart ``hook``'s stream at ``seed`` if it draws random numbers.
 
-    Wrappers with neither ``reseed`` nor ``_rng`` (e.g.
-    :class:`~repro.nn.quantization.QuantizedLoadTransform`) draw from their
-    ``inner`` injector's stream.
+    Every drawing hook exposes ``reseed(seed)``; wrappers without a stream
+    of their own delegate it to the hook they wrap.
     """
-    while injector is not None and not (hasattr(injector, "reseed")
-                                        or hasattr(injector, "_rng")):
-        injector = getattr(injector, "inner", None)
-    return injector
-
-
-def _reseed(injector, seed: int) -> None:
-    """Restart an injector's stream using the runner's historical convention."""
-    injector = _stream_owner(injector)
-    if injector is None:
-        return
-    if hasattr(injector, "reseed"):
-        injector.reseed(seed)
-    elif hasattr(injector, "_rng"):
-        injector._rng = np.random.default_rng(seed)
+    reseed = getattr(hook, "reseed", None)
+    if reseed is not None:
+        reseed(seed)
 
 
 def _resolve_arrays(dataset) -> Tuple[np.ndarray, np.ndarray]:
@@ -392,12 +379,9 @@ class InferenceSession:
         — regardless of what was evaluated before or how large the batches
         are.  The salt keeps the weight-corruption stream disjoint from the
         per-repeat IFM streams (which start at the unsalted ``seed``).  The
-        pre-existing stream is restored afterwards so per-read IFM injection
-        is unaffected; injectors exposing only ``reseed()`` (no ``_rng``
-        attribute) are instead re-seeded at the unsalted ``seed``.  A
-        wrapper without a stream of its own (a quantizing load transform)
-        is resolved to the stream of its ``inner`` injector.  Returns the
-        ``{tensor name: corrupted array}`` store.
+        stream is left at the end of the salted pass: every read path
+        reseeds before it draws.  Returns the ``{tensor name: corrupted
+        array}`` store.
         """
         injector = self.injector if injector is _UNSET else injector
         seed = self.seed if seed is None else int(seed)
@@ -407,22 +391,9 @@ class InferenceSession:
         store: Dict[str, np.ndarray] = {}
         if injector is not None:
             params = self.network.named_parameters()
-            owner = _stream_owner(injector)
-            saved_rng = getattr(owner, "_rng", None)
-            _reseed(owner, seed ^ _MATERIALIZE_SEED_SALT)
-            try:
-                for spec in self._weight_specs():
-                    store[spec.name] = injector.apply(params[spec.name].data, spec)
-            finally:
-                if saved_rng is not None:
-                    owner._rng = saved_rng
-                else:
-                    # reseed()-only injectors (wrappers without a `_rng`
-                    # attribute) cannot have their exact stream position
-                    # restored; leave them at the unsalted seed — the state
-                    # every repeat loop starts from — instead of the
-                    # materialization stream's end.
-                    _reseed(owner, seed)
+            _reseed(injector, seed ^ _MATERIALIZE_SEED_SALT)
+            for spec in self._weight_specs():
+                store[spec.name] = injector.apply(params[spec.name].data, spec)
             self.stats["materializations"] += 1
         self._store = store
         self._store_key = key
@@ -567,15 +538,12 @@ class InferenceSession:
                  if self._integer_mode_active(injector, semantics) else None)
         network = self.network
         with network_lock(network):
-            previous = network.fault_injector
             if qplan is not None:
                 live = None
-                # The hook swap walks every layer twice per call; skip it
-                # when every store tensor became codes behind a kernel and
-                # no stale hook could intercept a load.
+                # Every GEMM weight became codes behind a kernel; only a
+                # non-empty float store needs a hook.
                 hook = (_StaticStoreReader(None, qplan.float_store)
-                        if qplan.float_store or previous is not None
-                        else previous)
+                        if qplan.float_store else None)
             else:
                 per_read = semantics is ReadSemantics.PER_READ
                 live = injector if (ifm_errors or per_read) else None
@@ -583,27 +551,19 @@ class InferenceSession:
                 if store is None and injector is not None and not per_read:
                     store = self.materialize(injector, seed=seed)
                 if per_read or store is None:
-                    hook = previous if injector is None else injector
+                    hook = (network.fault_injector if injector is None
+                            else injector)
                 else:
                     hook = _StaticStoreReader(live, store)
-            was_training = network.training
-            if was_training:
-                network.eval()
-            swap_hook = hook is not previous
-            if swap_hook:
-                network.set_fault_injector(hook)
-            if qplan is not None:
-                qplan.install(network)
-            try:
-                _reseed(live, seed)
-                yield live, qplan
-            finally:
+            with network.loading(hook):
                 if qplan is not None:
-                    qplan.uninstall(network)
-                if swap_hook:
-                    network.set_fault_injector(previous)
-                if was_training:
-                    network.train()
+                    qplan.install(network)
+                try:
+                    _reseed(live, seed)
+                    yield live, qplan
+                finally:
+                    if qplan is not None:
+                        qplan.uninstall(network)
 
     # -- evaluation ---------------------------------------------------------------
     def baseline(self, dataset=None) -> float:

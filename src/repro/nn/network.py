@@ -6,13 +6,14 @@ Beyond ordinary forward/backward execution, a :class:`Network` can
   characterizes and maps to DRAM partitions (:meth:`data_type_specs`),
 * install a *fault injector* so every simulated memory load of a weight or
   IFM passes through an approximate-DRAM error model
-  (:meth:`set_fault_injector`), and
+  (:meth:`set_fault_injector`, or :meth:`loading` for one block), and
 * snapshot/restore its parameters, which the retraining and characterization
   loops rely on.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -114,6 +115,30 @@ class Network:
     def fault_injector(self):
         return self._injector
 
+    @contextlib.contextmanager
+    def loading(self, hook):
+        """Run the block in eval mode with ``hook`` intercepting every load.
+
+        The hook is installed only when it differs from the current one
+        (installing walks every layer); on exit the previous hook and the
+        training mode are restored.  Callers sharing the network across
+        threads hold :func:`repro.engine.session.network_lock` around it.
+        """
+        previous = self._injector
+        was_training = self.training
+        if was_training:
+            self.eval()
+        swap = hook is not previous
+        if swap:
+            self.set_fault_injector(hook)
+        try:
+            yield
+        finally:
+            if swap:
+                self.set_fault_injector(previous)
+            if was_training:
+                self.train()
+
     def set_data_precision(self, weight_bits: Optional[int] = None,
                            ifm_bits: Optional[int] = None) -> None:
         """Set the storage precision advertised by weight / IFM load specs.
@@ -175,17 +200,9 @@ class Network:
         uniform one.
         """
         recorder = _SpecRecorder()
-        previous = self._injector
-        was_training = self.training
-        self.eval()
-        self.set_fault_injector(recorder)
-        dummy = np.zeros((batch_size,) + self.input_shape, dtype=np.float32)
-        try:
-            self.forward(dummy)
-        finally:
-            self.set_fault_injector(previous)
-            if was_training:
-                self.train()
+        with self.loading(recorder):
+            self.forward(np.zeros((batch_size,) + self.input_shape,
+                                  dtype=np.float32))
         if dtype_bits is None:
             return list(recorder.specs)
         return [spec.with_bits(dtype_bits) for spec in recorder.specs]

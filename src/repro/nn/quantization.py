@@ -196,6 +196,12 @@ class QuantizedLoadTransform:
         self._spec_cache[name] = (fingerprint, spec)
         return spec
 
+    def reseed(self, seed: int) -> None:
+        """Restart the wrapped injector's stream (quantizing draws nothing)."""
+        reseed = getattr(self.inner, "reseed", None)
+        if reseed is not None:
+            reseed(seed)
+
     def apply(self, array: np.ndarray, spec: TensorSpec) -> np.ndarray:
         tensor_spec = spec.with_bits(self.bits)
         if self.bits == 32:

@@ -158,6 +158,65 @@ class TestDeviceBackedInjector:
         assert not np.array_equal(out, values)
 
 
+def _make_injector(kind, device, corrector, **kwargs):
+    if kind == "model":
+        return BitErrorInjector(make_error_model(0, 5e-2, seed=1),
+                                corrector=corrector, seed=0, **kwargs)
+    return DeviceBackedInjector(device, DramOperatingPoint.from_reductions(delta_vdd=0.3),
+                                corrector=corrector, seed=0)
+
+
+class _RecordingCorrector:
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, array, spec):
+        self.seen.append(array)
+        return array
+
+
+class TestPassthroughRules:
+    """Both DRAM injectors share one read path and one set of passthroughs."""
+
+    @pytest.mark.parametrize("kind", ["model", "device"])
+    def test_disabled_returns_input_uncorrected_but_counted(self, kind, device_vendor_a, rng):
+        corrector = _RecordingCorrector()
+        injector = _make_injector(kind, device_vendor_a, corrector)
+        injector.enabled = False
+        values = rng.standard_normal(300).astype(np.float32)
+        assert injector.apply(values, spec_of("w", values.shape)) is values
+        assert corrector.seen == []
+        assert injector.stats == {"loads": 1, "values_loaded": 300}
+
+    @pytest.mark.parametrize("kind", ["model", "device"])
+    def test_enabled_load_is_read_then_corrected(self, kind, device_vendor_a, rng):
+        corrector = _RecordingCorrector()
+        injector = _make_injector(kind, device_vendor_a, corrector)
+        values = rng.standard_normal(300).astype(np.float32)
+        out = injector.apply(values, spec_of("w", values.shape))
+        assert len(corrector.seen) == 1 and corrector.seen[0] is out
+        assert out is not values
+
+    def test_excluded_kind_skips_corrector(self, rng):
+        corrector = _RecordingCorrector()
+        injector = _make_injector("model", None, corrector,
+                                  data_kinds={DataKind.WEIGHT})
+        values = rng.standard_normal(300).astype(np.float32)
+        ifm = TensorSpec("x", DataKind.IFM, values.shape, 32, 0)
+        assert injector.apply(values, ifm) is values
+        assert corrector.seen == []
+        assert injector.stats["loads"] == 1
+
+    def test_zero_ber_load_is_corrected_unpacked(self, rng):
+        corrector = _RecordingCorrector()
+        injector = _make_injector("model", None, corrector,
+                                  per_tensor_ber={"w": 0.0})
+        values = rng.standard_normal(300).astype(np.float32)
+        assert injector.apply(values, spec_of("w", values.shape)) is values
+        # The corrector sees the input object itself: nothing was packed.
+        assert len(corrector.seen) == 1 and corrector.seen[0] is values
+
+
 class TestEnergyModel:
     def test_voltage_reduction_cuts_dynamic_energy_quadratically(self):
         model = DramEnergyModel("DDR4-2400")

@@ -275,6 +275,56 @@ class TestWrappedInjectorStreams:
         assert store(1) != store(2)
 
 
+def _bit_injector(device):
+    return BitErrorInjector(make_error_model(0, 1e-2, seed=0), seed=0)
+
+
+def _quantized_injector(device):
+    return QuantizedLoadTransform(8, inner=_bit_injector(device))
+
+
+def _device_injector(device):
+    from repro.dram.device import DramOperatingPoint
+    from repro.dram.injection import DeviceBackedInjector
+
+    return DeviceBackedInjector(
+        device, DramOperatingPoint.from_reductions(delta_vdd=0.3), seed=0)
+
+
+class TestReadPathsReseed:
+    """Materializing leaves the stream at the end of its salted pass; every
+    read path reseeds before it draws, so nothing downstream can see where
+    the stream was left."""
+
+    @pytest.mark.parametrize("between", ["materialize", "export_plan"])
+    @pytest.mark.parametrize("semantics", [ReadSemantics.STATIC_STORE,
+                                           ReadSemantics.PER_READ])
+    @pytest.mark.parametrize("make_injector", [
+        _bit_injector, _quantized_injector, _device_injector])
+    def test_reads_repeat_across_materialization(
+            self, lenet_clone, device_vendor_a, make_injector, semantics,
+            between):
+        network, dataset, _ = lenet_clone
+        rows = (dataset.val_x[:64], dataset.val_y[:64])
+        session = InferenceSession(network, rows,
+                                   injector=make_injector(device_vendor_a),
+                                   semantics=semantics, seed=3)
+        inputs = np.asarray(rows[0][:8])
+        ifm_errors = semantics is ReadSemantics.STATIC_STORE
+        try:
+            # Each call follows another that left the stream elsewhere.
+            score = session.evaluate(repeats=2)
+            first = session.predict(inputs, ifm_errors=ifm_errors)
+            # Drop the cached store so the call below draws a full pass.
+            session.invalidate()
+            getattr(session, between)()
+            assert session.predict(inputs, ifm_errors=ifm_errors).tobytes() \
+                == first.tobytes()
+            assert session.evaluate(repeats=2) == score
+        finally:
+            session.close()
+
+
 class TestWeightOnlyInjection:
     def test_data_kinds_filter(self):
         injector = BitErrorInjector(make_error_model(0, 0.5, seed=0),

@@ -100,6 +100,27 @@ class TestIntrospection:
         net.data_type_specs()
         assert net.fault_injector is None
 
+    def test_loading_scopes_hook_and_mode_even_on_error(self):
+        net = build_tiny_network()
+        installed, hook = object(), object()
+        net.set_fault_injector(installed)
+        net.train()
+        with pytest.raises(RuntimeError):
+            with net.loading(hook):
+                assert net.fault_injector is hook and not net.training
+                raise RuntimeError
+        assert net.fault_injector is installed and net.training
+
+    def test_loading_the_installed_hook_does_not_reinstall_it(self, monkeypatch):
+        net = build_tiny_network()
+        hook = object()
+        net.set_fault_injector(hook)
+        installs = []
+        monkeypatch.setattr(net, "set_fault_injector", installs.append)
+        with net.loading(hook):
+            pass
+        assert installs == []
+
 
 class TestStateManagement:
     def test_state_dict_roundtrip(self):
