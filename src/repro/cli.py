@@ -522,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batcher coalescing bound")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batcher straggler wait")
+                       help="micro-batcher straggler wait for padded (fp32) "
+                            "plans; int plans dispatch when the worker is idle")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="admission control: max in-flight requests before 429")
     serve.add_argument("--deadline-ms", type=float, default=None,
@@ -554,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--max-batch", type=int, default=32,
                        help="per-replica micro-batcher coalescing bound")
     route.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="per-replica micro-batcher straggler wait")
+                       help="per-replica micro-batcher straggler wait for "
+                            "padded (fp32) plans; int plans dispatch when the "
+                            "worker is idle")
     route.add_argument("--queue-depth", type=int, default=64,
                        help="per-replica admission bound (the router spills "
                             "around full queues)")
@@ -592,7 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--max-batch", type=int, default=8,
                                 help="self-hosted micro-batcher bound")
     loadgen_parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                                help="self-hosted straggler wait")
+                                help="self-hosted straggler wait for padded "
+                                     "(fp32) plans; int plans dispatch when "
+                                     "the worker is idle")
     loadgen_parser.add_argument("--deadline-ms", type=float, default=None,
                                 help="per-request deadline")
     loadgen_parser.add_argument("--seed", type=int, default=0)

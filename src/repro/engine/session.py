@@ -498,6 +498,21 @@ class InferenceSession:
         self._adopted_store = store
         self._adopted_qplan = qplan
 
+    def shape_exact(self) -> bool:
+        """Return whether :meth:`predict` runs a fused integer plan.
+
+        Such a plan is exact at any batch shape, so it runs each batch at
+        its own row count and its cost scales with the rows; an FP32 plan
+        pads every batch to ``pad_to`` instead.  :meth:`predict` pads by
+        this predicate and the serving gateway gives a shape-exact endpoint
+        no straggler wait.  A configuration that cannot run integer
+        execution reads ``False`` (its :meth:`predict` raises).
+        """
+        try:
+            return self._integer_mode_active(self.injector, self.semantics)
+        except ValueError:
+            return False
+
     def mode_label(self) -> str:
         """Wire-format label of the session's GEMM path.
 
@@ -505,13 +520,11 @@ class InferenceSession:
         through a fused integer plan, else ``"fp32"`` — the string
         ``GET /v1/models`` advertises per endpoint.
         """
-        if self._adopted_qplan is not None:
-            return f"int{self._adopted_qplan.bits}"
-        try:
-            active = self._integer_mode_active(self.injector, self.semantics)
-        except ValueError:
-            active = False
-        return f"int{self.injector.bits}" if active else "fp32"
+        if not self.shape_exact():
+            return "fp32"
+        source = (self.injector if self._adopted_qplan is None
+                  else self._adopted_qplan)
+        return f"int{source.bits}"
 
     # -- execution ----------------------------------------------------------------
     @contextlib.contextmanager
@@ -531,8 +544,8 @@ class InferenceSession:
 
         The injector that stays live on reads is reseeded at ``seed``.  The
         whole critical section holds :func:`network_lock` and runs in eval
-        mode.  Yields ``(live, qplan)``: the injector drawing fresh errors
-        on reads and the bound integer plan (each None when absent).
+        mode.  Yields ``live``: the injector drawing fresh errors on reads
+        (None when absent).
         """
         qplan = (self._quantized_plan(injector, seed)
                  if self._integer_mode_active(injector, semantics) else None)
@@ -560,7 +573,7 @@ class InferenceSession:
                     qplan.install(network)
                 try:
                     _reseed(live, seed)
-                    yield live, qplan
+                    yield live
                 finally:
                     if qplan is not None:
                         qplan.uninstall(network)
@@ -609,8 +622,7 @@ class InferenceSession:
         inputs, labels = _resolve_arrays(dataset if dataset is not None
                                          else self.dataset)
         scores: List[float] = []
-        with self._bound(injector, semantics, seed, ifm_errors=True) \
-                as (live, _):
+        with self._bound(injector, semantics, seed, ifm_errors=True) as live:
             for repeat in range(repeats):
                 _reseed(live, seed + repeat * stride)
                 self.stats["evaluations"] += 1
@@ -642,10 +654,11 @@ class InferenceSession:
             batch — the property the micro-batcher's bit-identity guarantee
             rests on (BLAS kernels round differently for different matrix
             shapes, so *dynamic* batch shapes do not have it).  A fused
-            integer plan is exact at any batch shape, so it chunks by
-            ``pad_to`` without padding: the forward pass sees the batch's
-            own row count.  ``None`` chunks by the session's ``batch_size``
-            without padding.
+            integer plan is exact at any batch shape
+            (:meth:`shape_exact`), so it chunks by ``pad_to`` without
+            padding: the forward pass sees the batch's own row count.
+            ``None`` chunks by the session's ``batch_size`` without
+            padding.
         ifm_errors:
             Static-store mode serves weights from the materialized store and,
             by default, IFMs from reliable DRAM (no injection) — batching
@@ -677,18 +690,16 @@ class InferenceSession:
                 f"got {inputs.shape}"
             )
         seed = self.seed if seed is None else int(seed)
-        if ifm_errors and self._integer_mode_active(self.injector,
-                                                    self.semantics):
+        exact = self.shape_exact()
+        if ifm_errors and exact:
             raise ValueError(
                 "integer execution serves IFMs from reliable DRAM; use "
                 "execution_mode=FP32 (or AUTO without a quantized "
                 "transform) for ifm_errors=True")
         chunk = int(pad_to) if pad_to else self.batch_size
         outputs: List[np.ndarray] = []
-        with self._bound(self.injector, self.semantics, seed,
-                         ifm_errors) as (_, qplan):
-            # Integer plans are exact at any shape: only FP32 pads.
-            pad = bool(pad_to) and qplan is None
+        pad = bool(pad_to) and not exact
+        with self._bound(self.injector, self.semantics, seed, ifm_errors):
             for start in range(0, len(inputs), chunk):
                 if deadline is not None and time.perf_counter() > deadline:
                     raise DeadlineExceeded(

@@ -121,10 +121,19 @@ class QuantizationSpec:
 
 
 def compute_scale(values: np.ndarray, bits: int) -> float:
-    """Symmetric scale so that max(|values|) maps to the integer extreme."""
+    """Symmetric scale so that the largest finite ``|value|`` maps to the
+    integer extreme.
+
+    NaN and ±inf entries are left out (one of them would otherwise make
+    the scale itself non-finite); a tensor with no finite non-zero entry
+    scales as if its largest magnitude were 1.
+    """
     if bits == 32:
         return 1.0
     max_abs = float(np.max(np.abs(values))) if values.size else 0.0
+    if not np.isfinite(max_abs):
+        finite = np.abs(values[np.isfinite(values)])
+        max_abs = float(np.max(finite)) if finite.size else 0.0
     if max_abs == 0.0:
         max_abs = 1.0
     return max_abs / float(2 ** (bits - 1) - 1)
@@ -140,12 +149,14 @@ def quantize(values: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
     The division runs in float64 (matching :func:`recover_codes`): a
     float32 quotient would underflow for subnormal scales — ``scale``
     below ~1.4e-45 rounds to 0.0 in float32, turning every quotient into
-    inf/nan and the cast into garbage codes.
+    inf/nan and the cast into garbage codes.  NaN maps to code 0 and ±inf
+    clips to the code range like any out-of-range value.
     """
     if spec.is_float:
         raise ValueError("FP32 tensors are not integer-quantized")
     q = np.round(np.asarray(values, dtype=np.float64) / spec.scale)
-    return np.clip(q, spec.qmin, spec.qmax).astype(np.int64)
+    q = np.nan_to_num(np.clip(q, spec.qmin, spec.qmax), copy=False, nan=0.0)
+    return q.astype(np.int64)
 
 def dequantize(codes: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
     if spec.is_float:

@@ -4,9 +4,14 @@ Latency-oriented traffic arrives one sample at a time, but the engine's
 forward pass amortizes its per-layer cost over a batch.  :class:`MicroBatcher`
 sits between the two: clients :meth:`~MicroBatcher.submit` single samples and
 get a future back; a worker coalesces queued samples into batches of up to
-``max_batch`` (waiting at most ``max_wait_ms`` for stragglers), dispatches
-each batch through one compiled session, and splits the output rows back into
-the per-request futures.
+``max_batch``, dispatches each batch through one compiled session, and splits
+the output rows back into the per-request futures.  The worker first takes
+everything already queued (what arrived during the previous dispatch), then
+holds an underfull batch open at most ``max_wait_ms`` for stragglers.  The
+gateway sets that wait only for padded (FP32) plans, whose forward pass costs
+the same at any occupancy; a shape-exact (fused integer) plan's cost scales
+with its rows, so its endpoint gets no wait and dispatches as soon as the
+worker is idle.
 
 Determinism: when the dispatch function is :meth:`InferenceSession.predict`
 with ``pad_to=max_batch`` — FP32 plans then run at a *static* batch shape,
@@ -70,6 +75,9 @@ class MicroBatcher:
     max_wait_ms:
         How long the worker holds an underfull batch open for stragglers
         before dispatching it anyway (the classic latency/throughput knob).
+        Requests already queued join the batch first either way, so ``0``
+        dispatches whatever queued during the previous dispatch as one
+        batch, without sleeping on a timer.
     name:
         Model name used when recording telemetry.
     telemetry:
@@ -197,7 +205,8 @@ class MicroBatcher:
     def _wait_for_batch(self) -> Optional[List[_Pending]]:
         """Blocking: one batch for the worker, or ``None`` on shutdown.
 
-        Blocks for the first request, then holds the batch open up to
+        Blocks for the first request, takes every request already queued
+        (up to ``max_batch``), and only then holds the batch open up to
         ``max_wait_ms`` (or until full) before dispatching.
         """
         try:
@@ -209,13 +218,16 @@ class MicroBatcher:
         batch = [first]
         deadline = time.perf_counter() + self.max_wait_ms / 1e3
         while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
-                break
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    break
+                try:
+                    item = self._queue.get(timeout=remaining)
+                except queue.Empty:
+                    break
             if item is None:
                 with self._flush_lock:
                     self._run_batches([batch])

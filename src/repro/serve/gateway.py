@@ -58,12 +58,17 @@ class ServeConfig:
 
     ``max_batch`` and ``max_wait_ms`` parameterize each endpoint's
     micro-batcher (largest coalesced batch / how long an underfull batch
-    waits for stragglers; FP32 endpoints pad every dispatch to
-    ``max_batch``, which makes batching bit-invariant); ``max_sessions`` and
-    ``memory_budget_bytes`` bound the session registry; ``auto_flush``
-    selects the threaded front end (``False`` defers dispatch to explicit
-    ``flush()`` calls — deterministic, used by benchmarks); ``ifm_errors``
-    opts endpoints into per-dispatch IFM injection.  ``dispatch_processes``
+    waits for stragglers).  FP32 endpoints pad every dispatch to
+    ``max_batch``, which makes batching bit-invariant and a fuller batch
+    free, so they wait ``max_wait_ms``; shape-exact (fused integer)
+    endpoints run each batch at its own row count and get no wait: their
+    worker dispatches as soon as it is idle, grouping what queued during
+    the previous dispatch (:meth:`InferenceSession.shape_exact`).
+    ``max_sessions`` and ``memory_budget_bytes`` bound the session
+    registry; ``auto_flush`` selects the threaded front end (``False``
+    defers dispatch to explicit ``flush()`` calls — deterministic, used by
+    benchmarks); ``ifm_errors`` opts endpoints into per-dispatch IFM
+    injection.  ``dispatch_processes``
     > 0 runs each endpoint's dispatches in that many worker *processes*
     attached zero-copy to the endpoint's shared-memory plan export
     (:class:`repro.parallel.PlanDispatcher`): results stay bit-identical to
@@ -151,9 +156,12 @@ class ServingGateway:
                 network, dataset, injector=injector, seed=seed,
                 **session_kwargs)
         dispatch, dispatcher = self._dispatcher(session)
+        # A shape-exact plan's cost scales with its rows: waiting for
+        # stragglers buys it nothing.
+        max_wait_ms = 0.0 if session.shape_exact() else self.config.max_wait_ms
         batcher = MicroBatcher(dispatch,
                                max_batch=self.config.max_batch,
-                               max_wait_ms=self.config.max_wait_ms,
+                               max_wait_ms=max_wait_ms,
                                name=name, telemetry=self.telemetry,
                                auto=self.config.auto_flush)
         with self._lock:

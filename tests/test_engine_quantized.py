@@ -143,6 +143,7 @@ class TestPlanCompilation:
                                  data_kinds={DataKind.WEIGHT}, seed=0)
         session = InferenceSession(network, dataset, metric=spec.metric,
                                    injector=plain, execution_mode="integer")
+        assert not session.shape_exact()
         with pytest.raises(ValueError, match="QuantizedLoadTransform"):
             session.predict(np.asarray(dataset.val_x[:2]))
 
@@ -156,12 +157,14 @@ class TestPlanCompilation:
                                      injector=plain)
         x = np.asarray(dataset.val_x[:4])
         assert auto.mode_label() == "fp32"
+        assert not auto.shape_exact()
         assert auto.predict(x).tobytes() == reference.predict(x).tobytes()
 
     def test_mode_label_reports_stored_precision(self, lenet_clone):
         network, dataset, spec = lenet_clone
         session = _integer_session(network, dataset, spec.metric, bits=4)
         assert session.mode_label() == "int4"
+        assert session.shape_exact()
 
 
 class TestIntegerPathParity:

@@ -71,6 +71,35 @@ class TestQuantizeDequantize:
         spec = make_spec(values, 8)
         np.testing.assert_array_equal(fake_quantize(values, spec), values)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_entries_leave_finite_codes_intact(self, rng):
+        """One NaN used to make the scale NaN and the int64 cast garbage."""
+        finite = rng.standard_normal(64).astype(np.float32)
+        values = np.concatenate(
+            [finite, np.array([np.nan, np.inf, -np.inf], dtype=np.float32)])
+        spec = make_spec(values, 8)
+        assert spec.scale == compute_scale(finite, 8)
+        codes = quantize(values, spec)
+        np.testing.assert_array_equal(codes[:64], quantize(finite, spec))
+        assert codes[64:].tolist() == [0, spec.qmax, spec.qmin]
+        assert np.isfinite(fake_quantize(values, spec)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_finite_entries_scale_like_all_zero(self):
+        values = np.array([np.nan, np.inf, -np.inf], dtype=np.float32)
+        assert compute_scale(values, 8) == compute_scale(np.zeros(3), 8)
+        assert quantize(values, make_spec(values, 8)).tolist() == [0, 127, -128]
+
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_finite_inputs_quantize_as_plain_max_abs_and_clip(self, bits, rng):
+        values = rng.standard_normal(256).astype(np.float32) * 5
+        scale = float(np.max(np.abs(values))) / float(2 ** (bits - 1) - 1)
+        assert compute_scale(values, bits) == scale
+        spec = QuantizationSpec(bits, scale)
+        expected = np.clip(np.round(values.astype(np.float64) / scale),
+                           spec.qmin, spec.qmax).astype(np.int64)
+        assert quantize(values, spec).tobytes() == expected.tobytes()
+
 
 class TestBitCodecs:
     def test_fp32_word_roundtrip(self, rng):

@@ -9,6 +9,7 @@ async front end.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -364,6 +365,63 @@ class TestMicroBatcher:
         for future in futures:
             assert future.result(timeout=1)[0] == pytest.approx(2.0)
 
+    def test_zero_wait_groups_requests_queued_during_dispatch(self):
+        """With no straggler wait, the requests that queued while the worker
+        was busy still go out as one batch, not one dispatch each."""
+        started, release = threading.Event(), threading.Event()
+        sizes = []
+
+        def dispatch(batch):
+            sizes.append(len(batch))
+            started.set()
+            release.wait(timeout=5)
+            return batch * 2
+
+        batcher = MicroBatcher(dispatch, max_batch=8, max_wait_ms=0.0,
+                               auto=True)
+        first = batcher.submit(np.ones(2))
+        assert started.wait(timeout=5)
+        queued = [batcher.submit(np.full(2, i, dtype=np.float32))
+                  for i in range(6)]
+        release.set()
+        assert first.result(timeout=5)[0] == pytest.approx(2.0)
+        for i, future in enumerate(queued):
+            assert future.result(timeout=5)[0] == pytest.approx(2.0 * i)
+        batcher.close()
+        assert sizes == [1, 6]
+
+    def test_close_while_worker_drains_serves_every_future(self):
+        """The shutdown sentinel met while draining the queue ends the
+        straggler wait, and the worker itself serves every request queued
+        ahead of it."""
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def dispatch(batch):
+            calls.append((len(batch), threading.current_thread().name))
+            started.set()
+            release.wait(timeout=5)
+            return batch + 1
+
+        batcher = MicroBatcher(dispatch, max_batch=4, max_wait_ms=10_000,
+                               name="drain", auto=True)
+        # A full first batch dispatches without waiting out the timer.
+        futures = [batcher.submit(np.full(2, i, dtype=np.float32))
+                   for i in range(10)]
+        assert started.wait(timeout=5)
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
+        give_up = time.monotonic() + 5
+        while not any(item is None for item in list(batcher._queue.queue)):
+            assert time.monotonic() < give_up, "close() queued no sentinel"
+            closer.join(timeout=0.01)
+        release.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        for i, future in enumerate(futures):
+            assert future.result(timeout=1)[0] == pytest.approx(i + 1.0)
+        assert calls == [(n, "microbatcher-drain") for n in (4, 4, 2)]
+
 
 class TestGateway:
     def test_two_endpoints_route_independently(self, lenet_clone):
@@ -419,6 +477,52 @@ class TestGateway:
         label = gateway.classify("m", dataset.val_x[0])
         assert 0 <= label < network.num_classes
         gateway.close()
+
+
+class TestDispatchRule:
+    """Shape-exact (integer) endpoints dispatch when the worker is idle;
+    padded (FP32) endpoints hold an underfull batch open for stragglers."""
+
+    def test_idle_shape_exact_endpoint_never_sleeps_on_the_timer(
+            self, lenet_clone):
+        from repro.serve.bench import serving_injector
+
+        network, dataset, spec = lenet_clone
+        injector, mode = serving_injector("int8", ber=1e-3, model_id=0,
+                                          seed=0)
+        gateway = ServingGateway(ServeConfig(max_batch=8,
+                                             max_wait_ms=10_000))
+        session = gateway.register("m", network, dataset, injector=injector,
+                                   metric=spec.metric, execution_mode=mode)
+        assert session.shape_exact() and session.mode_label() == "int8"
+        sample = dataset.val_x[0]
+        expected = session.predict(sample[None], pad_to=8)[0]   # warm-up
+        started = time.perf_counter()
+        row = gateway.predict("m", sample)
+        elapsed = time.perf_counter() - started
+        gateway.close()
+        assert row.tobytes() == expected.tobytes()
+        assert elapsed < 1.0
+
+    def test_padded_endpoint_groups_a_straggler(self, lenet_clone):
+        network, dataset, spec = lenet_clone
+        gateway = ServingGateway(ServeConfig(max_batch=2,
+                                             max_wait_ms=10_000))
+        session = gateway.register("m", network, dataset,
+                                   injector=_weight_injector(),
+                                   metric=spec.metric)
+        assert not session.shape_exact()
+        first = gateway.submit("m", dataset.val_x[0])
+        time.sleep(0.05)
+        straggler = gateway.submit("m", dataset.val_x[1])
+        rows = np.stack([first.result(timeout=30),
+                         straggler.result(timeout=30)])
+        snapshot = gateway.snapshot()["models"]["m"]
+        gateway.close()
+        assert snapshot["batches"] == 1
+        assert snapshot["mean_occupancy"] == pytest.approx(2.0)
+        expected = session.predict(dataset.val_x[:2], pad_to=2)
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestSessionPredict:
