@@ -29,6 +29,7 @@ from repro.dram.error_models import BurstProfile
 from repro.dram.geometry import DramGeometry
 from repro.dram.packed import (
     _hash_uniform,
+    expand_spans,
     hash_keys,
     iter_bit_chunks,
     make_bit_gather,
@@ -286,7 +287,7 @@ class ApproximateDram:
         base_ber = self.expected_ber(op_point)
         single = max(profile.single_fraction, 1e-12)
         burst_share = base_ber * (1.0 - profile.single_fraction) / single
-        parts = []
+        los, his = [], []
         for k, ((span_bits, _), weight) in enumerate(
                 zip(profile.span_weights, profile.normalized_weights())):
             span_bits = int(span_bits)
@@ -299,13 +300,11 @@ class ApproximateDram:
             if weak.size == 0:
                 continue
             hit = weak[rng.random(weak.size) < fail_prob]
-            for span in hit.tolist():
-                lo = max(span * span_bits - start_bit_address, 0)
-                hi = min((span + 1) * span_bits - start_bit_address, num_bits)
-                parts.append(np.arange(lo, hi, dtype=np.int64))
-        if not parts:
+            los.append(np.maximum(hit * span_bits - start_bit_address, 0))
+            his.append(np.minimum((hit + 1) * span_bits - start_bit_address, num_bits))
+        if not los:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return expand_spans(np.concatenate(los), np.concatenate(his))
 
     def read_bits(self, stored_bits: np.ndarray, start_bit_address: int,
                   op_point: DramOperatingPoint,

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.dram.packed import (
     _hash_uniform,
+    expand_spans,
     hash_keys,
     make_bit_gather,
     sample_flip_positions,
@@ -622,20 +623,21 @@ class BurstErrorModel(ErrorModel):
         return cached
 
     def _fired_spans(self, num_bits: int, layout: DramLayout,
-                     rng: np.random.Generator) -> list:
-        """(lo, hi) ranges of the weak spans that fire on this access.
+                     rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """``(los, his)`` bounds of the weak spans that fire on this access.
 
         Consumes exactly one uniform per weak span — classes in profile
         order, spans ascending — so the boolean and packed paths stay on the
         same stream by construction.
         """
-        fired = []
+        fired_los, fired_his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for los, his in self._weak_spans(num_bits, layout):
             if los.size == 0:
                 continue
             hit = rng.random(los.size) < self.failure_probability
-            fired.extend(zip(los[hit].tolist(), his[hit].tolist()))
-        return fired
+            fired_los.append(los[hit])
+            fired_his.append(his[hit])
+        return np.concatenate(fired_los), np.concatenate(fired_his)
 
     # -- sampling ------------------------------------------------------------------
     def flip_probabilities(self, stored_bits: np.ndarray, layout: DramLayout) -> np.ndarray:
@@ -664,7 +666,7 @@ class BurstErrorModel(ErrorModel):
         indices = np.arange(num_bits, dtype=np.uint64) + np.uint64(layout.start_bit)
         weak = _hash_uniform(indices, self.seed, stream=501) < self.single_weak_fraction
         mask = rng.random(num_bits) < weak * self.failure_probability
-        for lo, hi in self._fired_spans(num_bits, layout, rng):
+        for lo, hi in zip(*self._fired_spans(num_bits, layout, rng)):
             mask[lo:hi] ^= True
         return mask.reshape(stored_bits.shape)
 
@@ -677,10 +679,8 @@ class BurstErrorModel(ErrorModel):
         positions, probabilities = self._packed_candidates(num_bits, layout, bit_at)
         flips = sample_flip_positions(rng, num_bits, positions, probabilities)
         xor = xor_mask_from_positions(flips, words.size, bits_per_word)
-        spans = self._fired_spans(num_bits, layout, rng)
-        if spans:
-            span_positions = np.concatenate(
-                [np.arange(lo, hi, dtype=np.int64) for lo, hi in spans])
+        span_positions = expand_spans(*self._fired_spans(num_bits, layout, rng))
+        if span_positions.size:
             xor ^= xor_mask_from_positions(span_positions, words.size, bits_per_word)
         return xor
 

@@ -12,11 +12,14 @@ RNG seed:
   found with pure integer compares, chunk by chunk (:func:`hash_keys`,
   :func:`uniform_threshold`);
 * the legacy path consumed exactly one ``rng.random()`` draw per stored bit.
-  PCG64 consumes one state step per double, and ``BitGenerator.advance``
-  skips steps without generating, so :func:`sample_flip_positions` draws
-  uniforms *only at candidate positions* while advancing the stream over all
-  other bits — the surviving draws (and therefore the flips) are identical to
-  what the dense path would have produced;
+  PCG64 takes one 128-bit LCG step per double, so the draw at stream offset
+  ``p`` is a closed-form function of the generator's ``(state, inc)``:
+  :func:`sample_flip_positions` computes it *only at candidate positions*,
+  by a jump-ahead vectorized over the candidates (two constant tables for
+  the low 16 bits of each offset, one Python-int jump per distinct high
+  part), then sets the state a full draw would leave.  The flips are
+  identical to what the dense path would have produced; other bit
+  generators take that dense path;
 * flips are applied as sparse XORs straight into the packed words
   (:func:`xor_mask_from_positions`).
 
@@ -26,6 +29,7 @@ back flat flip positions.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterator, Tuple
 
 import numpy as np
@@ -35,11 +39,8 @@ import numpy as np
 #: word.  Kept module-level so tests can shrink it to exercise chunk seams.
 CHUNK_BITS = 1 << 20
 
-#: above this candidate count (relative to the total bits) the per-candidate
-#: ``advance`` loop loses to drawing the uniforms densely in chunks.
-SPARSE_DENSITY_CUTOFF = 256
-
 _MANTISSA_SCALE = float(1 << 53)
+_MASK64 = (1 << 64) - 1
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
@@ -60,7 +61,8 @@ def hash_keys(indices: np.ndarray, seed: int, stream: int) -> np.ndarray:
     buffers — this scan dominates the packed hot path.
     """
     indices = np.asarray(indices, dtype=np.uint64)
-    z = indices ^ np.uint64(seed * 0x9E3779B1 + stream * 0x85EBCA77)
+    # Reduce mod 2**64 so seeds of any size hash (unchanged below 2**33).
+    z = indices ^ np.uint64((seed * 0x9E3779B1 + stream * 0x85EBCA77) & _MASK64)
     z += np.uint64(0x9E3779B97F4A7C15)
     shifted = z >> np.uint64(30)
     z ^= shifted
@@ -153,59 +155,188 @@ def xor_mask_from_positions(flip_positions: np.ndarray, num_words: int,
     return xor
 
 
+def expand_spans(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Concatenated ``np.arange(lo, hi)`` over the ``(lo, hi)`` pairs, in order.
+
+    One ``np.repeat`` of per-span offsets onto a running index replaces a
+    Python loop of ``arange`` calls; empty spans contribute nothing.
+
+    >>> expand_spans(np.array([3, 10, 7]), np.array([5, 10, 8])).tolist()
+    [3, 4, 7]
+    """
+    los = np.asarray(los, dtype=np.int64)
+    lengths = np.maximum(np.asarray(his, dtype=np.int64) - los, 0)
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(los - starts, lengths)
+
+
 def skip_stream(rng: np.random.Generator, num_draws: int) -> None:
     """Consume ``num_draws`` uniform draws without keeping them.
 
-    Uses ``BitGenerator.advance`` when the generator supports it (PCG64 and
-    Philox; one state step per double) and falls back to drawing-and-
-    discarding in chunks otherwise (e.g. MT19937) — either way the stream
-    ends where ``rng.random(num_draws)`` would have left it.
+    Uses ``BitGenerator.advance`` for PCG64 and PCG64DXSM (one state step
+    per double) and draws-and-discards in chunks for every other generator
+    — Philox's ``advance`` counts 4-draw counter blocks, and SFC64/MT19937
+    have none — so the stream ends where ``rng.random(num_draws)`` would
+    have left it.  ``advance`` also drops a buffered 32-bit half that
+    ``random`` keeps, so that is restored.
     """
     bit_generator = rng.bit_generator
-    if hasattr(bit_generator, "advance"):
+    if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        before = bit_generator.state
         bit_generator.advance(num_draws)
+        if before["has_uint32"]:
+            after = bit_generator.state
+            after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+            bit_generator.state = after
         return
     for start, stop in iter_bit_chunks(num_draws):
         rng.random(stop - start)
 
 
-def sample_flip_positions(rng: np.random.Generator, total_bits: int,
-                          positions: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
-    """Which candidate bits flip on this access — stream-exact vs. the dense path.
+# -- PCG64 jump-ahead ----------------------------------------------------------------
+#
+# PCG64 is the LCG ``s -> A*s + inc (mod 2**128)`` followed by the XSL-RR
+# output of the new state, and ``random()`` keeps the top 53 output bits.
+# After ``q`` steps from ``s0`` the state is ``A**q * s0 + inc * G(q)`` with
+# ``G(q) = sum_{j<q} A**j``, so the draw at stream offset ``p`` (state after
+# ``q = p + 1`` steps) is a pure function of ``(s0, inc, p)``.  Splitting
+# ``q = high * 2**16 + low``, the state at ``high * 2**16`` steps is one
+# Python-int jump per distinct ``high``, and the remaining ``low`` steps are a
+# 128-bit multiply-add against two constant 65,536-entry tables.
 
-    ``positions`` are the sorted flat indices with a non-zero flip
-    probability and ``probabilities`` their per-access failure probabilities.
-    The legacy path computed ``rng.random(total_bits) < probabilities``;
-    this draws the identical uniforms at the candidate positions (skipping
-    the rest of the stream with ``advance``, or drawing densely in chunks
-    when candidates are plentiful) and leaves the generator in exactly the
-    state a full ``rng.random(total_bits)`` would have.
+#: PCG64's 128-bit LCG multiplier (numpy's ``PCG_DEFAULT_MULTIPLIER_128``).
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+_MASK128 = (1 << 128) - 1
+#: low bits of the step count resolved by table lookup.
+_LOW_BITS = 16
+#: candidates per vectorized jump-ahead batch (bounds the temporaries).
+_JUMP_CHUNK = 1 << 14
+_U32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+@functools.lru_cache(maxsize=64)
+def _lcg_jump(steps: int) -> Tuple[int, int]:
+    """``(A**steps, G(steps)) mod 2**128`` by binary doubling."""
+    acc_mult, acc_plus = 1, 0
+    cur_mult, cur_plus = PCG64_MULTIPLIER, 1
+    while steps:
+        if steps & 1:
+            acc_mult = acc_mult * cur_mult & _MASK128
+            acc_plus = (acc_plus * cur_mult + cur_plus) & _MASK128
+        cur_plus = (cur_mult + 1) * cur_plus & _MASK128
+        cur_mult = cur_mult * cur_mult & _MASK128
+        steps >>= 1
+    return acc_mult, acc_plus
+
+
+def _pcg64_jump(state: int, inc: int, steps: int) -> int:
+    """PCG64's 128-bit state ``steps`` steps after ``state``."""
+    mult, plus = _lcg_jump(steps)
+    return (mult * state + plus * inc) & _MASK128
+
+
+def _halves(value: int) -> Tuple[np.uint64, np.uint64]:
+    return np.uint64(value >> 64), np.uint64(value & _MASK64)
+
+
+def _mul_high64(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the full 128-bit products ``a * b`` (32-bit partials)."""
+    a0, a1 = a & _U32, a >> _SHIFT32
+    b0, b1 = b & _U32, b >> _SHIFT32
+    cross_a = a0 * b1
+    cross_b = a1 * b0
+    middle = ((a0 * b0) >> _SHIFT32) + (cross_a & _U32) + (cross_b & _U32)
+    return a1 * b1 + (cross_a >> _SHIFT32) + (cross_b >> _SHIFT32) + (middle >> _SHIFT32)
+
+
+def _mul128(a_high, a_low, b_high, b_low) -> Tuple[np.ndarray, np.ndarray]:
+    """``a * b mod 2**128`` on uint64 (high, low) halves; ``a`` is an array."""
+    return _mul_high64(a_low, b_low) + a_high * b_low + a_low * b_high, a_low * b_low
+
+
+def _add128(a_high, a_low, b_high, b_low) -> Tuple[np.ndarray, np.ndarray]:
+    """``a + b mod 2**128`` on uint64 (high, low) halves."""
+    low = a_low + b_low
+    return a_high + b_high + (low < a_low), low
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg64_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(A**j, G(j))`` as uint64 (high, low) halves for ``j < 2**_LOW_BITS``.
+
+    Built once, on first use (not at import), by vectorized doubling: from
+    the first ``n`` entries, ``A**(n+j) = A**n * A**j`` and
+    ``G(n+j) = G(n) + A**n * G(j)`` give the next ``n``.
     """
-    positions = np.asarray(positions, dtype=np.int64)
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    keep = probabilities > 0.0
-    if not keep.all():
-        positions, probabilities = positions[keep], probabilities[keep]
-    if positions.size == 0:
-        skip_stream(rng, total_bits)
-        return positions
+    power_high, power_low = np.zeros(1, np.uint64), np.ones(1, np.uint64)
+    sum_high, sum_low = np.zeros(1, np.uint64), np.zeros(1, np.uint64)
+    for level in range(_LOW_BITS):
+        mult, plus = _lcg_jump(1 << level)
+        next_power_high, next_power_low = _mul128(power_high, power_low, *_halves(mult))
+        next_sum_high, next_sum_low = _add128(
+            *_mul128(sum_high, sum_low, *_halves(mult)), *_halves(plus))
+        power_high = np.concatenate([power_high, next_power_high])
+        power_low = np.concatenate([power_low, next_power_low])
+        sum_high = np.concatenate([sum_high, next_sum_high])
+        sum_low = np.concatenate([sum_low, next_sum_low])
+    tables = power_high, power_low, sum_high, sum_low
+    for table in tables:
+        table.flags.writeable = False   # shared by every caller
+    return tables
 
-    bit_generator = rng.bit_generator
-    sparse_ok = (hasattr(bit_generator, "advance")
-                 and positions.size <= max(4096, total_bits // SPARSE_DENSITY_CUTOFF))
-    if sparse_ok:
-        draws = np.empty(positions.size, dtype=np.float64)
-        cursor = 0
-        for slot, position in enumerate(positions.tolist()):
-            gap = position - cursor
-            if gap:
-                bit_generator.advance(gap)
-            draws[slot] = rng.random()
-            cursor = position + 1
-        if total_bits > cursor:
-            bit_generator.advance(total_bits - cursor)
-        return positions[draws < probabilities]
 
+def _pcg64_uniforms(state: int, inc: int, steps: np.ndarray) -> np.ndarray:
+    """``random()`` outputs of the states ``steps`` (int64, > 0) steps after ``state``."""
+    power_high, power_low, sum_high, sum_low = _pcg64_tables()
+    low = steps & ((1 << _LOW_BITS) - 1)
+    high_of = steps >> _LOW_BITS
+    # Runs of equal high parts share one base state (one run each when sorted).
+    run_start = np.empty(steps.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(high_of[1:], high_of[:-1], out=run_start[1:])
+    which = np.cumsum(run_start) - 1
+    bases, base, cursor = [], state, 0
+    for high in high_of[run_start].tolist():
+        if high < cursor:
+            base, cursor = state, 0
+        # Jump from the previous base: the gaps repeat, so ``_lcg_jump`` hits its cache.
+        base = _pcg64_jump(base, inc, (high - cursor) << _LOW_BITS)
+        bases.append(base)
+        cursor = high
+    base_high = np.array([base >> 64 for base in bases], dtype=np.uint64)[which]
+    base_low = np.array([base & _MASK64 for base in bases], dtype=np.uint64)[which]
+    high, low_word = _add128(
+        *_mul128(power_high[low], power_low[low], base_high, base_low),
+        *_mul128(sum_high[low], sum_low[low], *_halves(inc)))
+    # XSL-RR: rotate (high ^ low) right by the state's top 6 bits.
+    folded = high ^ low_word
+    rotation = high >> np.uint64(58)
+    output = (folded >> rotation) | (folded << ((np.uint64(64) - rotation) & np.uint64(63)))
+    return (output >> np.uint64(11)).astype(np.float64) * (1.0 / _MANTISSA_SCALE)
+
+
+def _pcg64_flip_positions(bit_generator: np.random.PCG64, total_bits: int,
+                          positions: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """Jump-ahead sampler: draws only the candidates' uniforms, O(candidates)."""
+    snapshot = bit_generator.state
+    state, inc = snapshot["state"]["state"], snapshot["state"]["inc"]
+    flips = []
+    for lo in range(0, positions.size, _JUMP_CHUNK):
+        chunk = positions[lo:lo + _JUMP_CHUNK]
+        chosen = _pcg64_uniforms(state, inc, chunk + 1) < probabilities[lo:lo + _JUMP_CHUNK]
+        flips.append(chunk[chosen])
+    # Setting the state (rather than ``advance``) keeps a buffered 32-bit
+    # half, exactly as ``rng.random(total_bits)`` would.
+    snapshot["state"]["state"] = _pcg64_jump(state, inc, total_bits)
+    bit_generator.state = snapshot
+    return np.concatenate(flips)
+
+
+def _dense_flip_positions(rng: np.random.Generator, total_bits: int,
+                          positions: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """Generic sampler: draws every uniform in chunks; exact for any generator."""
     flips = []
     lo = 0
     for start, stop in iter_bit_chunks(total_bits):
@@ -220,3 +351,28 @@ def sample_flip_positions(rng: np.random.Generator, total_bits: int,
     if not flips:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(flips)
+
+
+def sample_flip_positions(rng: np.random.Generator, total_bits: int,
+                          positions: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """Which candidate bits flip on this access — stream-exact vs. the dense path.
+
+    ``positions`` are the sorted flat indices with a non-zero flip
+    probability and ``probabilities`` their per-access failure probabilities.
+    The result equals ``positions[rng.random(total_bits)[positions] <
+    probabilities]`` bit for bit, and the generator ends in exactly the state
+    that full draw would leave it in.  For PCG64 only the candidates'
+    uniforms are computed, by vectorized jump-ahead; every other generator
+    draws the whole stream in chunks.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    keep = probabilities > 0.0
+    if not keep.all():
+        positions, probabilities = positions[keep], probabilities[keep]
+    if positions.size == 0:
+        skip_stream(rng, total_bits)
+        return positions
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        return _pcg64_flip_positions(rng.bit_generator, total_bits, positions, probabilities)
+    return _dense_flip_positions(rng, total_bits, positions, probabilities)

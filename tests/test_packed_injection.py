@@ -5,9 +5,10 @@ The refactored hot path (:func:`repro.dram.injection.inject_bit_errors`,
 :meth:`repro.dram.device.ApproximateDram.read_words`) never materializes
 per-bit booleans; these tests pin down that, for identical RNG seeds, it
 produces *identical* corrupted tensors to the original boolean expansion
-(kept as :func:`inject_bit_errors_reference`) — across all four error
-models, all four storage precisions, sparse and dense sampling regimes, and
-chunk seams — and that it leaves the RNG in the identical stream state.
+(kept as :func:`inject_bit_errors_reference`) — across the error models,
+all four storage precisions, sparse and dense candidate sets, every numpy
+bit generator and chunk seams — and that it leaves the RNG in the identical
+stream state.
 """
 
 import numpy as np
@@ -20,14 +21,25 @@ from repro.dram.error_models import DramLayout, make_error_model
 from repro.dram.geometry import DramGeometry
 from repro.dram.injection import inject_bit_errors, inject_bit_errors_reference
 from repro.dram.packed import (
+    PCG64_MULTIPLIER,
+    expand_spans,
     hash_keys,
     make_bit_gather,
     sample_flip_positions,
+    skip_stream,
     uniform_threshold,
     xor_mask_from_positions,
 )
 
 LAYOUTS = [DramLayout(), DramLayout(row_size_bits=1024, start_bit=4096 + 17)]
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.SFC64, np.random.MT19937]
+MASK128 = (1 << 128) - 1
+
+
+def _pcg64_state(rng):
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
 
 
 def _both_paths(values, bits, model, layout, seed):
@@ -56,8 +68,8 @@ class TestPackedParity:
 
     @pytest.mark.parametrize("model_id", [0, 3])
     def test_generators_without_advance_fall_back_to_dense(self, model_id):
-        # MT19937 has no BitGenerator.advance; the sampler must draw-and-
-        # discard instead, staying bit-exact with the boolean path.
+        # MT19937 has no BitGenerator.advance; the sampler draws the whole
+        # stream instead, staying bit-exact with the boolean path.
         values = np.random.default_rng(8).standard_normal(513).astype(np.float32)
         model = make_error_model(model_id, 1e-3, seed=1)
         rng_ref = np.random.Generator(np.random.MT19937(42))
@@ -67,9 +79,45 @@ class TestPackedParity:
         np.testing.assert_array_equal(reference, fast)
         assert rng_ref.random() == rng_packed.random()
 
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_every_bit_generator_is_stream_exact(self, bit_generator):
+        # Philox has ``advance`` but counts 4-draw counter blocks, so only
+        # PCG64 and PCG64DXSM may skip draws with it.
+        total = 5000
+        positions = np.sort(np.random.default_rng(0).choice(total, 300, replace=False))
+        rng_a = np.random.Generator(bit_generator(42))
+        rng_b = np.random.Generator(bit_generator(42))
+        flips = sample_flip_positions(rng_a, total, positions, np.full(positions.size, 0.5))
+        np.testing.assert_array_equal(flips, positions[rng_b.random(total)[positions] < 0.5])
+        assert rng_a.random() == rng_b.random()
+        skip_stream(rng_a, 1000)
+        rng_b.random(1000)
+        assert rng_a.random() == rng_b.random()
+
+        values = np.random.default_rng(8).standard_normal(513).astype(np.float32)
+        for model_id in (0, 4):
+            model = make_error_model(model_id, 1e-2, seed=1)
+            rng_ref = np.random.Generator(bit_generator(7))
+            rng_packed = np.random.Generator(bit_generator(7))
+            reference = inject_bit_errors_reference(values, 32, model, DramLayout(), rng_ref)
+            fast = inject_bit_errors(values, 32, model, DramLayout(), rng_packed)
+            np.testing.assert_array_equal(reference, fast)
+            assert rng_ref.random() == rng_packed.random()
+
+    @pytest.mark.parametrize("model_id", [0, 4])
+    def test_seeds_beyond_32_bits(self, model_id):
+        # ``default_rng`` takes any non-negative seed; the hash mix must too.
+        values = np.random.default_rng(2).standard_normal(2000).astype(np.float32)
+        model = make_error_model(model_id, 1e-3, seed=2**40)
+        reference, fast, rng_ref, rng_packed = _both_paths(
+            values, 32, model, DramLayout(), seed=2**40
+        )
+        np.testing.assert_array_equal(reference, fast)
+        assert rng_ref.random() == rng_packed.random()
+
     @pytest.mark.parametrize("model_id", [0, 1, 2, 3])
     def test_dense_sampling_regime(self, model_id):
-        # High BER forces the dense (chunked-draw) branch of the sampler.
+        # High BER: a candidate at a large share of all bits.
         values = np.random.default_rng(1).standard_normal(2000).astype(np.float32)
         model = make_error_model(model_id, 0.2, seed=2)
         reference, fast, rng_ref, rng_packed = _both_paths(
@@ -190,6 +238,7 @@ class TestSampler:
         rng_b = np.random.default_rng(1)
         expected = positions[rng_b.random(total)[positions] < probabilities]
         np.testing.assert_array_equal(np.sort(sparse), expected)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert rng_a.random() == rng_b.random()
 
     def test_no_candidates_still_advances_stream(self):
@@ -199,6 +248,7 @@ class TestSampler:
                                     np.empty(0))
         rng_b.random(1000)
         assert out.size == 0
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert rng_a.random() == rng_b.random()
 
     def test_zero_probability_candidates_are_pruned(self):
@@ -208,13 +258,106 @@ class TestSampler:
         out = sample_flip_positions(rng_a, 100, positions, np.zeros(3))
         rng_b.random(100)
         assert out.size == 0
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert rng_a.random() == rng_b.random()
+
+    def test_candidates_at_edges_and_table_seams(self):
+        # The jump-ahead splits stream offsets at multiples of 2**16.
+        total = 5 * (1 << 16) + 123
+        seams = [k << 16 for k in range(1, 6)]
+        positions = np.unique([0, total - 1] + seams + [seam - 1 for seam in seams]
+                              + [seam - 2 for seam in seams])
+        probabilities = np.full(positions.size, 0.5)
+        rng_a = np.random.default_rng(21)
+        rng_b = np.random.default_rng(21)
+        uniforms = packed._pcg64_uniforms(*_pcg64_state(rng_a), positions + 1)
+        flips = sample_flip_positions(rng_a, total, positions, probabilities)
+        dense = rng_b.random(total)[positions]
+        np.testing.assert_array_equal(uniforms, dense)
+        np.testing.assert_array_equal(flips, positions[dense < probabilities])
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_stream_beyond_32_bits(self):
+        # Too long to draw densely: the per-candidate ``advance`` loop is
+        # the oracle here.
+        total = (1 << 32) + (1 << 20)
+        positions = np.array([0, 1, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32,
+                              (1 << 32) + 70_000, total - 1], dtype=np.int64)
+        probabilities = np.full(positions.size, 0.5)
+        rng_a = np.random.default_rng(5)
+        rng_b = np.random.default_rng(5)
+        flips = sample_flip_positions(rng_a, total, positions, probabilities)
+        draws, cursor = [], 0
+        for position in positions.tolist():
+            rng_b.bit_generator.advance(position - cursor)
+            draws.append(rng_b.random())
+            cursor = position + 1
+        rng_b.bit_generator.advance(total - cursor)
+        np.testing.assert_array_equal(flips, positions[np.array(draws) < probabilities])
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_seed_sequence_generators_with_full_width_increment(self):
+        total = 200_000
+        positions = np.sort(np.random.default_rng(1).choice(total, 3000, replace=False))
+        probabilities = np.random.default_rng(2).random(positions.size)
+        full_width = 0
+        for entropy in (0, 1, 2**64 + 3, 2**127 + 12345, 98765432109876543210):
+            seeds = np.random.SeedSequence(entropy)
+            rng_a = np.random.Generator(np.random.PCG64(seeds))
+            rng_b = np.random.Generator(np.random.PCG64(seeds))
+            full_width += rng_a.bit_generator.state["state"]["inc"] >> 127
+            flips = sample_flip_positions(rng_a, total, positions, probabilities)
+            expected = positions[rng_b.random(total)[positions] < probabilities]
+            np.testing.assert_array_equal(flips, expected)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert full_width  # at least one increment uses its top bit
+
+    def test_buffered_half_word_survives(self):
+        # ``rng.random`` keeps a buffered 32-bit half; ``advance`` drops it.
+        rng_a = np.random.default_rng(6)
+        rng_b = np.random.default_rng(6)
+        for rng in (rng_a, rng_b):
+            rng.integers(0, 10, dtype=np.uint32)
+        positions = np.array([3, 40_000], dtype=np.int64)
+        sample_flip_positions(rng_a, 50_000, positions, np.full(2, 0.5))
+        skip_stream(rng_a, 70_000)
+        rng_b.random(120_000)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert rng_a.integers(0, 1 << 32, dtype=np.uint32) == \
+            rng_b.integers(0, 1 << 32, dtype=np.uint32)
+
+    def test_step_and_output_formula_match_numpy(self):
+        # Pins PCG64's LCG step and XSL-RR output against numpy itself, so
+        # a change in numpy's PCG64 fails here first.
+        bit_generator = np.random.PCG64(np.random.SeedSequence(2024))
+        state, inc = _pcg64_state(np.random.Generator(bit_generator))
+        expected = []
+        for _ in range(64):
+            state = (state * PCG64_MULTIPLIER + inc) & MASK128
+            high, low = state >> 64, state & ((1 << 64) - 1)
+            folded, rotation = high ^ low, state >> 122
+            expected.append((folded >> rotation | folded << (64 - rotation)) & ((1 << 64) - 1))
+        np.testing.assert_array_equal(bit_generator.random_raw(64),
+                                      np.array(expected, dtype=np.uint64))
+
+        rng = np.random.default_rng(77)
+        uniforms = packed._pcg64_uniforms(*_pcg64_state(rng), np.arange(1, 5001))
+        np.testing.assert_array_equal(uniforms, rng.random(5000))
 
     def test_xor_mask_folds_positions(self):
         mask = xor_mask_from_positions(np.array([0, 9, 9, 17]), num_words=3,
                                        bits_per_word=8)
         # Bit 9 appears twice: the XORs cancel.
         np.testing.assert_array_equal(mask, [1, 0, 2])
+
+    def test_expand_spans_matches_list_of_aranges(self):
+        los = np.array([4, 9, 9, 20, 0, 31, 40], dtype=np.int64)
+        his = np.array([8, 9, 10, 20, 3, 33, 41], dtype=np.int64)
+        expected = np.concatenate([np.arange(lo, hi) for lo, hi in zip(los, his)])
+        np.testing.assert_array_equal(expand_spans(los, his), expected)
+        assert expand_spans(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
+        assert expand_spans(np.array([5]), np.array([5])).size == 0
+        np.testing.assert_array_equal(expand_spans(np.array([7]), np.array([8])), [7])
 
     def test_bit_gather_matches_boolean_expansion(self):
         words = np.array([0b1011, 0b0110], dtype=np.uint64)
