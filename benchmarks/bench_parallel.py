@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Macro-benchmark: the shared-memory parallel executor vs serial sweeps.
+"""Macro-benchmark: the shared-memory worker pool vs serial sweeps and serving.
 
 Measures :mod:`repro.parallel` end to end and records it through the shared
 benchmark harness (:mod:`repro.analysis.perfhistory`) — the
@@ -7,8 +7,8 @@ benchmark harness (:mod:`repro.analysis.perfhistory`) — the
 
 * **Characterization sweep, serial vs N workers** (the headline) — the
   coarse characterization's full BER grid scored through one
-  ``ExperimentRunner``, serially and through the shared-memory
-  ``SweepExecutor`` (zero-copy network/dataset views, one pickled injector
+  ``ExperimentRunner``, serially and through its shared-memory
+  ``PlanPool`` (zero-copy network/dataset views, one pickled injector
   per task).  The score dicts must be equal bit for bit; the wall-clock
   ratio is the speedup the perf harness gates on.
 * **Device sweep** — the same comparison over ``ApproximateDram`` operating
@@ -17,8 +17,8 @@ benchmark harness (:mod:`repro.analysis.perfhistory`) — the
   ``config.processes`` set; every field, including the ``tested`` memo,
   must match the serial run.
 * **Multi-process serving** — a gateway with ``dispatch_processes`` workers
-  attached to the shared plan export; coalesced results must be
-  bit-identical to in-process serial dispatch.
+  (a ``PlanPool`` over the endpoint's shared plan export); coalesced
+  results must be bit-identical to in-process serial dispatch.
 
 The network is trained briefly first (``--epochs``): accuracy must move with
 BER for the characterization search to be non-trivial.  Every stream is
@@ -120,7 +120,7 @@ def measure_parallel(model_name: str = "lenet", *, processes: int = 4,
                                   seed=seed, stride=_CHARACTERIZATION_STRIDE)
         return {"seconds": time.perf_counter() - started, "scores": scores}
 
-    # -- characterization BER grid: serial vs shared-memory executor -------------
+    # -- characterization BER grid: serial vs shared-memory worker pool ----------
     with ExperimentRunner(network, dataset, metric=spec.metric) as runner:
         serial = sweep_with(runner)
     with ExperimentRunner(network, dataset, metric=spec.metric,
@@ -145,7 +145,7 @@ def measure_parallel(model_name: str = "lenet", *, processes: int = 4,
         device_serial_seconds = time.perf_counter() - started
     with ExperimentRunner(network, dataset, metric=spec.metric,
                           processes=processes) as runner:
-        # >= 2 points so the warm-up actually takes the executor branch
+        # >= 2 points so the warm-up actually takes the pool branch
         # (one point would run serially and leave the pool cold).
         runner.device_sweep(device, op_points[:2], repeats=1, seed=seed)
         started = time.perf_counter()
@@ -222,7 +222,7 @@ def main() -> int:
     parser.add_argument("--model", default="lenet",
                         help="model zoo entry to sweep")
     parser.add_argument("--processes", type=int, default=4,
-                        help="executor worker count")
+                        help="worker pool process count")
     parser.add_argument("--epochs", type=int, default=2,
                         help="training epochs before characterizing")
     parser.add_argument("--seed", type=int, default=0)

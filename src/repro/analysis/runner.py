@@ -10,23 +10,21 @@ the static-store/per-read read semantics); :class:`ExperimentRunner` binds one
 session to a (network, dataset, metric) triple and adds the sweep vocabulary
 plus the things the historical copies could not share:
 
-* **injector reuse** — one :class:`~repro.dram.injection.BitErrorInjector`
-  (or :class:`~repro.dram.injection.DeviceBackedInjector`) is reused across
-  all points of a sweep; per point only the error model / operating point is
-  swapped and the RNG restarted, which is stream-identical to constructing a
-  fresh injector with that seed;
+* **one injector per sweep point** — BER grids
+  (:meth:`~ExperimentRunner.ber_sweep`), device operating points
+  (:meth:`~ExperimentRunner.device_sweep`) and per-tensor BER assignments
+  (:meth:`~ExperimentRunner.per_tensor_sweep`) each build their points'
+  injectors up front.  Each point restarts its own stream at the same seed,
+  so points are order-independent;
 * **memoized baseline scores** — the injection-free score of a
   (network, dataset, metric) triple is computed once per runner;
 * **shared-memory parallelism** — with ``processes=N`` the runner holds one
-  :class:`repro.parallel.SweepExecutor`: the network and dataset are
-  exported to shared memory once, worker processes attach zero-copy views,
-  and every sweep family fans out through the same pool — BER grids
-  (:meth:`~ExperimentRunner.ber_sweep`), device operating points
-  (:meth:`~ExperimentRunner.device_sweep`), per-tensor BER assignments
-  (:meth:`~ExperimentRunner.per_tensor_sweep`) and the repeat loop of a
-  single point (:meth:`~ExperimentRunner.score`).  Each task is
-  independently seeded with exactly the stream the serial loop would have
-  restarted, so parallel results are bit-identical to serial ones.
+  :class:`repro.parallel.PlanPool` over its injector-free session: the
+  network and dataset are exported to shared memory once, worker processes
+  attach zero-copy views, and the sweeps' points as well as the repeat loop
+  of a single point (:meth:`~ExperimentRunner.score`) fan out through it.
+  Each task is seeded with exactly the stream the serial loop restarts, so
+  parallel results are bit-identical to serial ones.
 
 Seeding conventions differ between the historical call sites (``seed +
 repeat`` in the sweeps and retraining, ``seed + repeat * 101`` in the
@@ -37,6 +35,8 @@ results stay bit-exact.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.dram.device import ApproximateDram, DramOperatingPoint
 from repro.dram.error_models import ErrorModel
@@ -63,7 +63,7 @@ class ExperimentRunner:
     ``seed``, ``repeats`` and ``reseed_stride`` set the default
     repeat-averaging loop (each repeat restarts the injection stream at
     ``seed + repeat * reseed_stride``); ``processes`` > 1 routes independent
-    work through a persistent :class:`repro.parallel.SweepExecutor` whose
+    work through a persistent :class:`repro.parallel.PlanPool` whose
     workers hold zero-copy shared-memory views of the network and dataset.
     """
 
@@ -84,7 +84,7 @@ class ExperimentRunner:
             network, dataset, semantics=semantics, metric=metric, seed=seed,
             repeats=repeats, reseed_stride=reseed_stride,
         )
-        self._executor = None
+        self._plan_pool = None
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -114,7 +114,7 @@ class ExperimentRunner:
         Under static-store semantics the weights are materialized once per
         operating point and only the IFM stream is reseeded per repeat.
         With ``processes`` > 1 and several repeats, per-read repeat streams
-        are evaluated concurrently on the executor and averaged in repeat
+        are evaluated concurrently on the pool and averaged in repeat
         order — bit-identical to the serial mean.  (Static-store repeats
         stay serial: they share one weight store materialized at the base
         ``seed``, which an isolated per-repeat task would have to rebuild
@@ -126,9 +126,14 @@ class ExperimentRunner:
         stride = self.reseed_stride if stride is None else int(stride)
         if (self.processes > 1 and repeats > 1 and injector is not None
                 and self.semantics is ReadSemantics.PER_READ):
-            return self._sweep_executor().score_repeats(
-                injector, repeats=repeats, seed=seed, stride=stride,
-                dataset=self._executor_dataset(dataset))
+            # Repeat r as its own task at the stream the serial loop
+            # restarts, averaged in repeat order.
+            pool, shipped = self._pool(), self._pool_dataset(dataset)
+            futures = [pool.submit(InferenceSession.evaluate, shipped,
+                                   injector=injector, repeats=1,
+                                   seed=seed + repeat * stride, stride=stride)
+                       for repeat in range(repeats)]
+            return float(np.mean([future.result() for future in futures]))
         return self.session.evaluate(dataset, injector=injector,
                                      repeats=repeats, seed=seed, stride=stride)
 
@@ -157,7 +162,7 @@ class ExperimentRunner:
         restarts the injection stream (``repeats`` streams from ``seed``
         spaced by ``stride``), injecting at ``bits``-bit precision through
         the optional ``corrector`` — so points are order-independent, which
-        is what makes the executor fan-out below legal.  ``correction``
+        is what makes the pool fan-out legal.  ``correction``
         (a codec name from :data:`repro.core.ecc.CODECS` or an
         :class:`~repro.core.ecc.RsCodecModel`) layers symbol-level ECC over
         every injected load, scoring the post-correction weights; see
@@ -168,28 +173,12 @@ class ExperimentRunner:
         seed = self.seed if seed is None else int(seed)
         stride = self.reseed_stride if stride is None else int(stride)
         codec = _resolve_codec(correction)
-
-        if self.processes > 1 and len(bers) > 1:
-            # One fresh injector per point, pickled into its task — the
-            # stream each worker restarts is exactly the serial one.
-            injectors = [
-                BitErrorInjector(error_model.with_ber(ber), bits=bits,
-                                 corrector=corrector, seed=seed, ecc=codec)
-                for ber in bers
-            ]
-            scores = self._sweep_executor().score_many(
-                injectors, repeats=repeats, seed=seed, stride=stride)
-            return {float(ber): score for ber, score in zip(bers, scores)}
-
-        # Serial path: one injector object, reused across all points.
-        injector = BitErrorInjector(error_model, bits=bits, corrector=corrector,
-                                    seed=seed, ecc=codec)
-        results: Dict[float, float] = {}
-        for ber in bers:
-            injector.set_error_model(error_model.with_ber(ber))
-            results[float(ber)] = self.score(injector, repeats=repeats, seed=seed,
-                                             stride=stride)
-        return results
+        injectors = [BitErrorInjector(error_model.with_ber(ber), bits=bits,
+                                      corrector=corrector, seed=seed, ecc=codec)
+                     for ber in bers]
+        scores = self._score_points(injectors, repeats=repeats, seed=seed,
+                                    stride=stride)
+        return {float(ber): score for ber, score in zip(bers, scores)}
 
     def ecc_sweep(self, error_model: ErrorModel, bers: Sequence[float], *,
                   bits: int = 32, correction="rs72_64",
@@ -243,39 +232,23 @@ class ExperimentRunner:
                      ) -> Dict[DramOperatingPoint, float]:
         """Score with tensors read from ``device`` at each of ``op_points``.
 
-        One :class:`DeviceBackedInjector` (at ``bits``-bit precision, with
-        the optional ``corrector``, averaging ``repeats`` streams from
-        ``seed``) serves every point: tensor base addresses are assigned
-        once (deterministically, in load order), so the same weak cells
-        corrupt the same tensor elements at every operating point — matching
-        real-device behaviour and the fresh-injector-per-point results of
-        the historical loop.  With ``processes`` > 1 each point runs as its
-        own executor task with a fresh, identically-addressed injector —
-        bit-identical to the serial loop.  Returns an ``{op_point: score}``
-        dict.
+        Each point gets its own :class:`DeviceBackedInjector` (at
+        ``bits``-bit precision, with the optional ``corrector``, averaging
+        ``repeats`` streams from ``seed``).  Tensor base addresses are
+        assigned deterministically in load order, so every injector maps
+        the same tensor elements onto the same weak cells — matching
+        real-device behaviour.  With ``processes`` > 1 the points run as
+        pool tasks, bit-identical to the serial loop.  Returns an
+        ``{op_point: score}`` dict.
         """
         seed = self.seed if seed is None else int(seed)
         repeats = self.repeats if repeats is None else int(repeats)
-
-        if self.processes > 1 and len(op_points) > 1:
-            injectors = [
-                DeviceBackedInjector(device, op_point, bits=bits,
-                                     corrector=corrector, seed=seed)
-                for op_point in op_points
-            ]
-            scores = self._sweep_executor().score_many(
-                injectors, repeats=repeats, seed=seed,
-                stride=self.reseed_stride)
-            return {op: score for op, score in zip(op_points, scores)}
-
-        injector = DeviceBackedInjector(device, op_points[0] if op_points else
-                                        DramOperatingPoint.nominal(),
-                                        bits=bits, corrector=corrector, seed=seed)
-        results: Dict[DramOperatingPoint, float] = {}
-        for op_point in op_points:
-            injector.set_operating_point(op_point)
-            results[op_point] = self.score(injector, repeats=repeats, seed=seed)
-        return results
+        injectors = [DeviceBackedInjector(device, op_point, bits=bits,
+                                          corrector=corrector, seed=seed)
+                     for op_point in op_points]
+        scores = self._score_points(injectors, repeats=repeats, seed=seed,
+                                    stride=self.reseed_stride)
+        return {op: score for op, score in zip(op_points, scores)}
 
     # -- per-tensor sweeps --------------------------------------------------------
     def per_tensor_sweep(self, error_model: ErrorModel,
@@ -294,38 +267,42 @@ class ExperimentRunner:
         precision through the optional ``corrector``, averaging ``repeats``
         streams from ``seed`` spaced by ``stride`` on ``dataset`` (the
         runner's own by default).  Assignments are independent, so with
-        ``processes`` > 1 they fan out over the executor — bit-identical to
-        the serial loop, which reuses one injector and swaps the assignment
-        per point.  Returns the scores in assignment order.
+        ``processes`` > 1 they fan out over the pool — bit-identical to the
+        serial loop.  Returns the scores in assignment order.
         """
         repeats = self.repeats if repeats is None else int(repeats)
         seed = self.seed if seed is None else int(seed)
         stride = self.reseed_stride if stride is None else int(stride)
+        injectors = [BitErrorInjector(error_model, bits=bits,
+                                      per_tensor_ber=assignment,
+                                      corrector=corrector, seed=seed)
+                     for assignment in assignments]
+        return self._score_points(injectors, repeats=repeats, seed=seed,
+                                  stride=stride, dataset=dataset)
 
-        if self.processes > 1 and len(assignments) > 1:
-            injectors = [
-                BitErrorInjector(error_model, bits=bits,
-                                 per_tensor_ber=assignment,
-                                 corrector=corrector, seed=seed)
-                for assignment in assignments
-            ]
-            return self._sweep_executor().score_many(
-                injectors, repeats=repeats, seed=seed, stride=stride,
-                dataset=self._executor_dataset(dataset))
+    # -- pool plumbing ------------------------------------------------------------
+    def _score_points(self, injectors: Sequence, *, repeats: int, seed: int,
+                      stride: int, dataset: Optional[Dataset] = None
+                      ) -> List[float]:
+        """Score each sweep point's injector; returns scores in input order.
 
-        injector = BitErrorInjector(error_model, bits=bits,
-                                    corrector=corrector, seed=seed)
-        scores: List[float] = []
-        for assignment in assignments:
-            injector.set_per_tensor_ber(assignment)
-            scores.append(self.session.evaluate(dataset, injector=injector,
-                                                repeats=repeats, seed=seed,
-                                                stride=stride))
-        return scores
+        With ``processes`` > 1 and more than one point, every point is one
+        pool task (its injector pickled in, restarting the same streams);
+        otherwise the points run serially through :meth:`score`.
+        """
+        if self.processes > 1 and len(injectors) > 1:
+            pool, shipped = self._pool(), self._pool_dataset(dataset)
+            futures = [pool.submit(InferenceSession.evaluate, shipped,
+                                   injector=injector, repeats=repeats,
+                                   seed=seed, stride=stride)
+                       for injector in injectors]
+            return [float(future.result()) for future in futures]
+        return [self.score(injector, repeats=repeats, seed=seed,
+                           stride=stride, dataset=dataset)
+                for injector in injectors]
 
-    # -- executor plumbing --------------------------------------------------------
-    def _executor_dataset(self, dataset):
-        """Translate a per-call dataset into executor task form.
+    def _pool_dataset(self, dataset):
+        """Translate a per-call dataset into pool task form.
 
         ``None`` (and the runner's own dataset) mean "use the shared-memory
         copy the workers already hold"; anything else ships its arrays
@@ -338,34 +315,30 @@ class ExperimentRunner:
             return (dataset.val_x, dataset.val_y)
         return dataset
 
-    def _sweep_executor(self):
-        """Lazily created, cached :class:`repro.parallel.SweepExecutor`.
+    def _pool(self):
+        """Lazily created, cached :class:`repro.parallel.PlanPool`.
 
-        The executor exports the network and dataset to shared memory once
-        and keeps its worker pool alive across sweeps; it is shut down by
+        The pool exports the runner's injector-free session (network,
+        dataset, metric, semantics, batch size) to shared memory once and
+        keeps its workers alive across sweeps; it is shut down by
         :meth:`close` / garbage collection / interpreter exit.  Workers
         snapshot the network at pool creation — a runner (like its serial
         memoization) is bound to one network state, so mutate or retrain
         the network and you need a fresh runner.  ``stats`` only counts
         serial evaluations; worker-side counts stay in the workers.
-        Returns the executor.
+        Returns the pool.
         """
-        if self._executor is None:
-            from repro.parallel import SweepExecutor
+        if self._plan_pool is None:
+            from repro.parallel import PlanPool
 
-            self._executor = SweepExecutor(
-                self.network, self.dataset, metric=self.metric,
-                semantics=self.semantics,
-                batch_size=self.session.batch_size,
-                processes=self.processes,
-            )
-        return self._executor
+            self._plan_pool = PlanPool(self.session, processes=self.processes)
+        return self._plan_pool
 
     def close(self) -> None:
-        """Shut down the executor pool, if one was started, and the session."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        """Shut down the worker pool, if one was started, and the session."""
+        if self._plan_pool is not None:
+            self._plan_pool.close()
+            self._plan_pool = None
         self.session.close()
 
     def __enter__(self) -> "ExperimentRunner":

@@ -75,7 +75,7 @@ def accuracy_on_device(network: Network, dataset: Dataset, device: ApproximateDr
     Used for the real-DRAM experiments (Figures 7 and 9): every weight/IFM
     load goes through the behavioural device at the given operating point
     (``semantics`` and ``processes`` as in :func:`ber_sweep` — operating
-    points fan out over the shared-memory executor with bit-identical
+    points fan out over the shared-memory worker pool with bit-identical
     results).
     """
     with ExperimentRunner(network, dataset, metric=metric, seed=seed,

@@ -89,7 +89,7 @@ def table3_coarse_characterization(models: Optional[Sequence[str]] = None,
     characterization against Error Model 0, then translate the tolerable BER
     into the most aggressive (ΔVDD, ΔtRCD) of the target device.
     ``processes`` > 1 fans the characterization grid out over the
-    shared-memory executor (bit-identical results).
+    shared-memory worker pool (bit-identical results).
     """
     device = device or ApproximateDram("A", seed=seed)
     target = target or AccuracyTarget.within_one_percent()

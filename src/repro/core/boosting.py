@@ -118,7 +118,7 @@ def _evaluate_under_injection(network: Network, dataset: Dataset, injector,
 
     Routed through :class:`~repro.analysis.runner.ExperimentRunner` so that
     ``processes`` > 1 fans the independent repeat streams out over the
-    shared-memory executor — bit-identical to the serial mean, because each
+    shared-memory worker pool — bit-identical to the serial mean, because each
     repeat restarts the stream at ``seed + repeat`` either way.  A fresh
     runner per call keeps the worker snapshots in step with the network,
     which retraining mutates between the two evaluations.

@@ -141,7 +141,7 @@ def coarse_grained_characterization(network: Network, dataset: Dataset,
     corrupted once per candidate BER) and faster.  When the runner
     parallelizes (``processes`` > 1, from the argument or from
     ``config.processes``), the whole candidate grid is prefetched
-    speculatively through the shared-memory executor and the binary search
+    speculatively through the shared-memory worker pool and the binary search
     consults the prefetched scores — every consulted score is the one the
     serial search would have computed, so the returned characterization
     (including its ``tested`` memo) is bit-identical to the serial run.
@@ -229,7 +229,7 @@ def fine_grained_characterization(network: Network, dataset: Dataset,
     the paper's "DNN data sweep procedure".  The round structure is
     data-dependent (a candidate builds on the acceptances earlier in its
     round), so rounds stay serial; a parallel runner still fans each
-    candidate's repeat streams out over the executor, which is
+    candidate's repeat streams out over the worker pool, which is
     bit-identical to the serial mean.
     """
     config = config or EdenConfig()

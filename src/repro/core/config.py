@@ -76,7 +76,7 @@ class EdenConfig:
     bits: int = 32
     seed: int = 0
     # worker processes for the characterization / boosting evaluations
-    # (> 1 routes through repro.parallel.SweepExecutor; results are
+    # (> 1 routes through a repro.parallel.PlanPool; results are
     # bit-identical to the serial run)
     processes: int = 0
 

@@ -293,9 +293,6 @@ class DeviceBackedInjector(_DramLoadHook):
         self._addresses: Dict[str, int] = {}
         self._next_bit = bank * device.geometry.bank_size_bytes * 8
 
-    def set_operating_point(self, op_point: DramOperatingPoint) -> None:
-        self.op_point = op_point
-
     def _address_of(self, spec: TensorSpec) -> int:
         address = self._addresses.get(spec.name)
         if address is None:

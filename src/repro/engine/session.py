@@ -118,8 +118,13 @@ class _StaticStoreReader:
         return self.inner.apply(array, spec)
 
 
-def _injector_fingerprint(injector) -> tuple:
-    """Description of the operating point an injector exposes.
+def injector_fingerprint(injector) -> tuple:
+    """Hashable description of the operating point ``injector`` exposes.
+
+    Two injectors with equal fingerprints produce the same materialized
+    weight store for the same seed; the fingerprint is therefore the cache
+    key used both by :class:`InferenceSession`'s store invalidation and by
+    :class:`repro.serve.SessionRegistry`.
 
     Error models are immutable (rescaling goes through ``with_ber``, which
     returns a new instance), so identity of the model object — plus the
@@ -130,7 +135,7 @@ def _injector_fingerprint(injector) -> tuple:
     and keeping the tuple as the store key keeps the objects alive, so a
     garbage-collected-and-reallocated object can never alias a cached key.
     Unknown injector types are embedded whole, which can only cause extra
-    re-materialization, never a stale store.
+    re-materialization, never a stale store.  Returns a hashable tuple.
     """
     if injector is None:
         return (None,)
@@ -154,24 +159,11 @@ def _injector_fingerprint(injector) -> tuple:
         parts.append(corrector)
     inner = getattr(injector, "inner", None)
     if inner is not None:
-        parts.append(_injector_fingerprint(inner))
+        parts.append(injector_fingerprint(inner))
     if not hasattr(injector, "error_model") and not hasattr(injector, "op_point") \
             and not hasattr(injector, "inner"):
         parts.append(injector)
     return tuple(parts)
-
-
-def injector_fingerprint(injector) -> tuple:
-    """Hashable description of the operating point ``injector`` exposes.
-
-    Two injectors with equal fingerprints produce the same materialized
-    weight store for the same seed; the fingerprint is therefore the cache
-    key used both by :class:`InferenceSession`'s store invalidation and by
-    :class:`repro.serve.SessionRegistry`.  See :func:`_injector_fingerprint`
-    for the exact embedding rules (objects without value equality are
-    compared by identity).  Returns a hashable tuple.
-    """
-    return _injector_fingerprint(injector)
 
 
 def _resolve_codec(correction):
@@ -271,14 +263,9 @@ class InferenceSession:
         self._baseline: Optional[float] = None
         self._store: Optional[Dict[str, np.ndarray]] = None
         #: fingerprint the store was materialized for; holds references to
-        #: the identity-compared objects inside it (see _injector_fingerprint).
+        #: the identity-compared objects inside it (see injector_fingerprint).
         self._store_key = None
         self._weight_spec_cache: Optional[List[TensorSpec]] = None
-        #: cached shared-memory export of the compiled plan (see export_plan);
-        #: the config tuple records the store key and injector inclusion it
-        #: was built for, so a fingerprint change re-exports.
-        self._exported = None
-        self._exported_config = None
         self.stats = {"evaluations": 0, "baseline_evaluations": 0,
                       "materializations": 0, "predictions": 0}
 
@@ -329,10 +316,6 @@ class InferenceSession:
         self.injector = injector
         self.invalidate()
 
-    def set_semantics(self, semantics: ReadSemantics) -> None:
-        """Switch the session's default read ``semantics`` for later calls."""
-        self.semantics = semantics
-
     def invalidate(self) -> None:
         """Drop the materialized store and the recorded weight-spec scan.
 
@@ -346,14 +329,6 @@ class InferenceSession:
         # Compiled integer plans derive from the store; an adopted plan is
         # externally owned (shared memory) and survives invalidation.
         self._qplans.clear()
-        self._drop_export()
-
-    def _drop_export(self) -> None:
-        """Unlink the shared-memory plan export, if one exists."""
-        if self._exported is not None:
-            self._exported.close()
-            self._exported = None
-            self._exported_config = None
 
     # -- materialization ----------------------------------------------------------
     def _weight_specs(self) -> List[TensorSpec]:
@@ -385,7 +360,7 @@ class InferenceSession:
         """
         injector = self.injector if injector is _UNSET else injector
         seed = self.seed if seed is None else int(seed)
-        key = (_injector_fingerprint(injector), seed)
+        key = (injector_fingerprint(injector), seed)
         if self._store is not None and self._store_key == key:
             return self._store
         store: Dict[str, np.ndarray] = {}
@@ -405,45 +380,6 @@ class InferenceSession:
         ``None`` before materialization (or after :meth:`invalidate`).
         """
         return self._store
-
-    def export_plan(self, *, include_injector: bool = False):
-        """Export the compiled plan to shared memory for worker processes.
-
-        Materializes the weight store (when the session has an injector
-        under static-store semantics; per-read sessions export no store)
-        and packs it — together with the clean weights, the network
-        skeleton and the dataset's validation split — into shared-memory
-        segments keyed by the session's current injector fingerprint.  The export is cached:
-        repeated calls under an unchanged fingerprint return the same
-        :class:`repro.parallel.plan.ExportedPlan`, while a changed
-        fingerprint (or :meth:`invalidate`) unlinks the stale segments and
-        re-exports under a fresh token, which attached workers pick up on
-        their next task — fingerprint invalidation across processes.
-        ``include_injector`` additionally ships a static-store session's
-        pickled injector, for workers serving per-dispatch IFM errors
-        (per-read sessions always ship theirs).  Returns the
-        :class:`~repro.parallel.plan.ExportedPlan` (owned by the session;
-        dropped by :meth:`invalidate`).
-        """
-        # Late import: repro.parallel sits above the engine in the layer map
-        # (the same documented exception repro.serve uses for reporting).
-        from repro.parallel.plan import export_session_plan
-
-        if self.injector is not None and \
-                self.semantics is ReadSemantics.STATIC_STORE:
-            # Per-read sessions export no store — materializing one would be
-            # pure waste; static-store sessions materialize here so the
-            # config below reflects the store actually exported.
-            self.materialize()
-        config = (_injector_fingerprint(self.injector), self.seed,
-                  self.semantics, bool(include_injector))
-        if self._exported is not None and self._exported_config == config:
-            return self._exported
-        self._drop_export()
-        self._exported = export_session_plan(self,
-                                             include_injector=include_injector)
-        self._exported_config = config
-        return self._exported
 
     # -- integer execution --------------------------------------------------------
     def _integer_mode_active(self, injector, semantics) -> bool:
@@ -473,7 +409,7 @@ class InferenceSession:
         """The compiled (or adopted) integer plan for this operating point."""
         if self._adopted_qplan is not None:
             return self._adopted_qplan
-        key = (_injector_fingerprint(injector), int(seed))
+        key = (injector_fingerprint(injector), int(seed))
         plan = self._qplans.get(key)
         if plan is None:
             from repro.engine.quantized import compile_quantized_plan
@@ -719,13 +655,13 @@ class InferenceSession:
         return np.concatenate(outputs)
 
     def close(self) -> None:
-        """Release what the session owns: unlink its shared-memory export.
+        """Release the session's compiled state: the store and integer plans.
 
-        Processes that adopted the export through
-        :meth:`~repro.parallel.plan.ExportedPlan.retain` keep the segments
-        attachable until they call ``release()``.
+        The same as :meth:`invalidate`; a later call recompiles.  Shared-
+        memory exports (:func:`repro.parallel.export_session_plan`) belong
+        to whoever made them and are not touched.
         """
-        self._drop_export()
+        self.invalidate()
 
     def __enter__(self) -> "InferenceSession":
         return self

@@ -9,15 +9,14 @@ substrate for both:
 * :mod:`repro.parallel.shm` — named tensors packed into
   ``multiprocessing.shared_memory`` segments, attached as zero-copy
   read-only views;
-* :mod:`repro.parallel.plan` — exporting a network (or a compiled session's
-  materialized weight store, keyed by the public injector fingerprint) as a
-  plan workers attach to;
-* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, the persistent
-  worker pool every sweep family
-  (:class:`repro.analysis.runner.ExperimentRunner`, the characterization
-  searches, the boosting evaluations) routes through;
-* :mod:`repro.parallel.dispatch` — :class:`PlanDispatcher`, multi-process
-  serving dispatch for :class:`repro.serve.ServingGateway`.
+* :mod:`repro.parallel.plan` — exporting a compiled session (its network,
+  dataset and materialized weight store or integer plan) as a plan, and
+  rebuilding an equivalent session from it in another process
+  (:func:`session_from_plan`);
+* :mod:`repro.parallel.pool` — :class:`PlanPool`, the one worker pool: every
+  sweep family (:class:`repro.analysis.runner.ExperimentRunner`, the
+  characterization searches, the boosting evaluations) and multi-process
+  serving dispatch (:class:`repro.serve.ServingGateway`) run through it.
 
 Parallel results are bit-identical to serial ones by construction: every
 task is independently seeded with exactly the stream the serial loop would
@@ -25,8 +24,6 @@ have restarted, and shared-memory views are bit-exact aliases of the
 owner's tensors.  See ``docs/parallel.md``.
 """
 
-from repro.parallel.dispatch import PlanDispatcher, session_from_plan
-from repro.parallel.executor import SweepExecutor
 from repro.parallel.plan import (
     AttachedPlan,
     ExportedPlan,
@@ -35,17 +32,18 @@ from repro.parallel.plan import (
     export_session_plan,
     network_skeleton,
     restore_network,
+    session_from_plan,
 )
+from repro.parallel.pool import PlanPool
 from repro.parallel.shm import SharedTensorStore, StoreHandle, attach_store
 
 __all__ = [
     "AttachedPlan",
     "ExportedPlan",
-    "PlanDispatcher",
     "PlanHandle",
+    "PlanPool",
     "SharedTensorStore",
     "StoreHandle",
-    "SweepExecutor",
     "attach_plan",
     "attach_store",
     "export_session_plan",

@@ -10,11 +10,10 @@ point).  All tensor payloads travel through
 mapped zero-copy by every worker — while the skeleton itself is a few
 kilobytes of structure.
 
-The materialized store is keyed by the session's public injector fingerprint
-(:func:`repro.engine.injector_fingerprint`): re-exporting after the
-fingerprint changed produces a new token, attached workers re-map on their
-next task, and the stale segments are unlinked by the owner — fingerprint
-invalidation that works across process boundaries.
+Every export carries a fresh token, so a re-export never aliases an older
+one.  :func:`session_from_plan` is the other half of
+:func:`export_session_plan`: it rebuilds, in any process, a session that
+reads, reseeds and scores exactly like the exporter.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.session import network_lock
+from repro.engine.session import InferenceSession, ReadSemantics, network_lock
 from repro.nn.network import Network
 from repro.parallel.shm import (
     SharedTensorStore,
@@ -121,12 +120,13 @@ class PlanHandle:
     ``token`` uniquely identifies the export (worker attachments are cached
     by it), ``skeleton`` is the stripped network pickle, ``weights`` /
     ``dataset`` / ``store`` are shared-segment handles (the latter two
-    optional), ``store_key`` reprs the injector fingerprint the store was
-    materialized for, and ``injector`` optionally carries a pickled injector
-    for plans that keep injecting on the worker side (per-read semantics or
-    per-dispatch IFM errors).  ``semantics`` (a :class:`ReadSemantics` value)
-    and ``seed`` are the exporting session's, so a worker session reads and
-    reseeds exactly like its owner.
+    optional), and ``injector`` optionally carries a pickled injector for
+    plans that keep injecting on the worker side (per-read semantics or
+    per-dispatch IFM errors).  ``semantics`` (a :class:`ReadSemantics`
+    value), ``seed``, ``metric``, ``batch_size`` and ``execution_mode`` (an
+    :class:`~repro.nn.quantization.ExecutionMode` value) are the exporting
+    session's, so a worker session reads, reseeds and scores exactly like
+    its owner.
     """
 
     token: str
@@ -134,10 +134,12 @@ class PlanHandle:
     weights: StoreHandle
     dataset: Optional[StoreHandle] = None
     store: Optional[StoreHandle] = None
-    store_key: Optional[str] = None
     injector: Optional[bytes] = None
     semantics: str = "static-store"
     seed: int = 0
+    metric: str = "accuracy"
+    batch_size: int = 64
+    execution_mode: str = "fp32"
     #: pickled metadata of a compiled integer plan (bits, per-tensor scales,
     #: which store entries are code arrays).  When set, ``store`` carries the
     #: *integer code arrays* plus the non-GEMM float store — no float detour
@@ -157,11 +159,11 @@ class ExportedPlan:
     holds one reference (consumed by :meth:`close`), and any other component
     that must outlive the creator's interest — e.g. a
     :class:`repro.serve.replica.ReplicaManager` that respawns crashed
-    replicas from the same segments long after the owning session re-exported
-    — takes its own with :meth:`retain` and drops it with :meth:`release`.
-    The segments are unlinked only when the last reference is gone, so a
-    session's fingerprint-driven re-export can never pull live shared memory
-    out from under a replica that still needs to adopt it.
+    replicas from the same segments long after the creator closed its
+    export — takes its own with :meth:`retain` and drops it with
+    :meth:`release`.  The segments are unlinked only when the last
+    reference is gone, so the creator's close can never pull live shared
+    memory out from under a replica that still needs to adopt it.
     """
 
     def __init__(self, handle: PlanHandle,
@@ -249,10 +251,10 @@ def export_session_plan(session, *, include_injector: bool = False
 
     Under static-store semantics the session's weight store is materialized
     (when it has an injector) and exported alongside the clean weights,
-    keyed by the session's current injector fingerprint; under per-read
+    materialized for the session's current injector; under per-read
     semantics no store exists and the injector itself must travel instead.
     An injector-free session exports only the clean weights, skeleton and
-    dataset — what :class:`repro.parallel.executor.SweepExecutor` workers
+    dataset — what sweep workers of a :class:`repro.parallel.PlanPool`
     need, since they materialize their own store per task (deterministic,
     hence bit-identical to the owner's).
     Per-read sessions always ship their pickled injector (it *is* their
@@ -262,8 +264,6 @@ def export_session_plan(session, *, include_injector: bool = False
     observe another export's stub window.  Returns the owning
     :class:`ExportedPlan`.
     """
-    from repro.engine.session import ReadSemantics
-
     network = session.network
     with network_lock(network):
         weights = SharedTensorStore.create(
@@ -271,7 +271,6 @@ def export_session_plan(session, *, include_injector: bool = False
             token_prefix="weights")
         segments = [weights]
         store_handle = None
-        store_key = None
         qplan_bytes = None
         integer_mode = session._integer_mode_active(session.injector,
                                                     session.semantics)
@@ -284,7 +283,6 @@ def export_session_plan(session, *, include_injector: bool = False
                 {**plan.codes, **plan.float_store}, token_prefix="store")
             segments.append(store_segment)
             store_handle = store_segment.handle
-            store_key = f"{session._store_key!r}:int{plan.bits}"
             qplan_bytes = pickle.dumps(
                 {"bits": plan.bits,
                  "weight_scales": dict(plan.weight_scales),
@@ -300,7 +298,6 @@ def export_session_plan(session, *, include_injector: bool = False
                                                      token_prefix="store")
             segments.append(store_segment)
             store_handle = store_segment.handle
-            store_key = repr(session._store_key)
         dataset_store = _export_dataset(session.dataset)
         if dataset_store is not None:
             segments.append(dataset_store)
@@ -316,11 +313,13 @@ def export_session_plan(session, *, include_injector: bool = False
             weights=weights.handle,
             dataset=dataset_store.handle if dataset_store is not None else None,
             store=store_handle,
-            store_key=store_key,
             injector=injector_bytes,
             qplan=qplan_bytes,
             semantics=session.semantics.value,
             seed=session.seed,
+            metric=session.metric,
+            batch_size=session.batch_size,
+            execution_mode=session.execution_mode.value,
         )
         return ExportedPlan(handle, segments)
 
@@ -375,9 +374,9 @@ _ATTACHED_PLANS: Dict[str, AttachedPlan] = {}
 def attach_plan(handle: PlanHandle) -> AttachedPlan:
     """Attach (or return the cached attachment of) an exported plan.
 
-    Caching is per ``handle.token``: a re-export under a changed fingerprint
-    carries a new token, so workers pick up the new segments on their next
-    task — the stale attachment stays mapped (safe) until the process exits.
+    Caching is per ``handle.token``: every export carries a new token, so a
+    process attaching a newer export maps its segments afresh — an older
+    attachment stays mapped (safe) until the process exits.
     Returns the :class:`AttachedPlan`.
     """
     plan = _ATTACHED_PLANS.get(handle.token)
@@ -385,3 +384,31 @@ def attach_plan(handle: PlanHandle) -> AttachedPlan:
         plan = AttachedPlan(handle)
         _ATTACHED_PLANS[handle.token] = plan
     return plan
+
+
+def session_from_plan(handle: PlanHandle) -> InferenceSession:
+    """Build a session in this process from an exported plan.
+
+    ``handle`` is a :class:`PlanHandle`; the segments it names are attached
+    zero-copy (cached per process by token) and an
+    :class:`~repro.engine.session.InferenceSession` is assembled around the
+    rebuilt network and the plan's dataset with the exporting session's
+    semantics, seed, metric, batch size, execution mode and (when shipped)
+    injector.  It adopts the exported integer plan or weight store
+    (:meth:`~repro.engine.session.InferenceSession.adopt`), so its
+    ``evaluate`` and ``predict`` read, reseed and pad exactly like the
+    owner's.  This is the one way a :class:`repro.parallel.PlanPool`
+    worker or a :mod:`repro.serve.replica` server process turns a shared
+    plan export into an executable session without recompiling or
+    re-materializing.  Returns the session.
+    """
+    plan = attach_plan(handle)
+    session = InferenceSession(plan.network, plan.dataset,
+                               injector=plan.injector,
+                               semantics=ReadSemantics(handle.semantics),
+                               metric=handle.metric,
+                               batch_size=handle.batch_size,
+                               seed=handle.seed,
+                               execution_mode=handle.execution_mode)
+    session.adopt(store=plan.store, qplan=plan.qplan)
+    return session

@@ -16,10 +16,9 @@ Lifetime rules:
 * attached views stay valid for as long as the attaching process keeps its
   mapping open — on POSIX systems an unlink by the owner does not invalidate
   existing mappings, so in-flight workers finish safely even when the owner
-  re-exports under a new fingerprint;
-* attachments are cached per process by the handle's unique ``token``; a
-  re-export (new token) therefore re-attaches, which is how fingerprint-based
-  invalidation propagates across processes.
+  unlinks early;
+* attachments are cached per process by the handle's unique ``token``, so
+  a new export (new token) is attached afresh.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 
 def fork_context() -> multiprocessing.context.BaseContext:
-    """Return the ``fork`` multiprocessing context the executors run under.
+    """Return the ``fork`` multiprocessing context worker pools run under.
 
     The parallel subsystem requires ``fork`` (POSIX): forked workers share
     the owner's shared-memory resource tracker, so attach-side

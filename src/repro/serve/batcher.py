@@ -66,8 +66,8 @@ class MicroBatcher:
         Callable mapping a stacked input array ``(n,) + sample_shape`` to an
         output array whose row ``i`` is request ``i``'s result (typically a
         bound :meth:`InferenceSession.predict`).  If it also exposes
-        ``submit(batch) -> Future`` (e.g.
-        :class:`repro.parallel.PlanDispatcher`), batches go through that
+        ``submit(batch) -> Future`` (e.g. the gateway's dispatch over a
+        :class:`repro.parallel.PlanPool`), batches go through that
         instead, and :meth:`flush` keeps every ready batch in flight at
         once.
     max_batch:
@@ -142,8 +142,8 @@ class MicroBatcher:
         Safe to call in auto mode too (the lock keeps worker and caller from
         splitting one batch).  Every ready batch is submitted before the
         first result is awaited, so a process-backed dispatcher (anything
-        exposing ``submit(batch) -> Future``, e.g.
-        :class:`repro.parallel.PlanDispatcher`) runs all its workers
+        exposing ``submit(batch) -> Future``, e.g. one over a
+        :class:`repro.parallel.PlanPool`) runs all its workers
         concurrently; batch composition — and therefore every result — is
         the same as one batch at a time.  Returns the number of requests
         drained from the queue (served, or failed as expired).

@@ -31,7 +31,7 @@ the network for the duration of a dispatch, so two plans must not execute on
 the same network concurrently.  With ``dispatch_processes`` > 0 each
 endpoint instead runs its dispatches in worker processes holding private
 network copies whose weights are zero-copy shared-memory views of the
-compiled plan (:class:`repro.parallel.PlanDispatcher`) — bit-identical
+compiled plan (a :class:`repro.parallel.PlanPool`) — bit-identical
 results, no per-network contention, and the forward passes stop competing
 for the serving process's GIL.
 """
@@ -68,10 +68,11 @@ class ServeConfig:
     registry; ``auto_flush`` selects the threaded front end (``False``
     defers dispatch to explicit ``flush()`` calls — deterministic, used by
     benchmarks); ``ifm_errors`` opts endpoints into per-dispatch IFM
-    injection.  ``dispatch_processes``
+    injection, which needs the FP32 path (:meth:`ServingGateway.register`
+    rejects it for a shape-exact endpoint).  ``dispatch_processes``
     > 0 runs each endpoint's dispatches in that many worker *processes*
     attached zero-copy to the endpoint's shared-memory plan export
-    (:class:`repro.parallel.PlanDispatcher`): results stay bit-identical to
+    (a :class:`repro.parallel.PlanPool`): results stay bit-identical to
     in-process dispatch, endpoints sharing one network stop contending on
     the per-network lock, and the numpy-bound forward passes leave the
     serving process's GIL alone.
@@ -87,21 +88,21 @@ class ServeConfig:
 
 
 class _Endpoint:
-    """A registered model name bound to its session, batcher and dispatcher."""
+    """A registered model name bound to its session, batcher and pool."""
 
-    __slots__ = ("name", "session", "batcher", "dispatcher")
+    __slots__ = ("name", "session", "batcher", "pool")
 
     def __init__(self, name: str, session: InferenceSession,
-                 batcher: MicroBatcher, dispatcher=None):
+                 batcher: MicroBatcher, pool=None):
         self.name = name
         self.session = session
         self.batcher = batcher
-        self.dispatcher = dispatcher
+        self.pool = pool
 
     def close(self) -> None:
         self.batcher.close()
-        if self.dispatcher is not None:
-            self.dispatcher.close()
+        if self.pool is not None:
+            self.pool.close()
 
 
 class ServingGateway:
@@ -143,7 +144,10 @@ class ServingGateway:
         ``session_kwargs`` forwarded to :class:`InferenceSession` — and the
         gateway compiles through its registry: registering the same model at
         the same operating point twice reuses the cached plan (a registry
-        hit) instead of re-materializing.  Returns the endpoint's session.
+        hit) instead of re-materializing.  Raises ``ValueError`` when the
+        config asks for ``ifm_errors`` and the session is shape-exact: a
+        fused integer plan serves IFMs from reliable DRAM.  Returns the
+        endpoint's session.
         """
         if self._closed:
             raise RuntimeError("gateway is closed")
@@ -155,7 +159,11 @@ class ServingGateway:
             session = self.registry.get_or_compile(
                 network, dataset, injector=injector, seed=seed,
                 **session_kwargs)
-        dispatch, dispatcher = self._dispatcher(session)
+        if self.config.ifm_errors and session.shape_exact():
+            raise ValueError(
+                "ifm_errors serving needs the FP32 path; integer execution "
+                "serves IFMs from reliable DRAM")
+        dispatch, pool = self._dispatcher(session)
         # A shape-exact plan's cost scales with its rows: waiting for
         # stragglers buys it nothing.
         max_wait_ms = 0.0 if session.shape_exact() else self.config.max_wait_ms
@@ -166,8 +174,7 @@ class ServingGateway:
                                auto=self.config.auto_flush)
         with self._lock:
             previous = self._endpoints.get(name)
-            self._endpoints[name] = _Endpoint(name, session, batcher,
-                                              dispatcher)
+            self._endpoints[name] = _Endpoint(name, session, batcher, pool)
         if previous is not None:
             previous.close()
         return session
@@ -175,24 +182,33 @@ class ServingGateway:
     def _dispatcher(self, session: InferenceSession):
         """Build the endpoint's dispatch path for ``session``.
 
-        Returns a ``(dispatch callable, dispatcher or None)`` pair: with
-        ``dispatch_processes`` > 0 the callable is a
-        :class:`repro.parallel.PlanDispatcher` running the exported plan in
-        worker processes (returned again as the closeable dispatcher);
-        otherwise it is an in-process closure running
-        ``predict(pad_to=max_batch)`` under the per-network lock.
+        Returns a ``(dispatch callable, pool or None)`` pair.  With
+        ``dispatch_processes`` > 0 the callable runs
+        ``predict(pad_to=max_batch)`` on a :class:`repro.parallel.PlanPool`
+        over the exported plan (returned as the closeable pool) and exposes
+        ``submit(batch) -> Future``, so the batcher's flush keeps every
+        worker busy.  Otherwise it is an in-process closure running the
+        same ``predict`` under the per-network lock.
         """
         pad_to = self.config.max_batch
         ifm_errors = self.config.ifm_errors
         if self.config.dispatch_processes > 0:
             # Late import: repro.parallel builds on the engine and is only
             # needed for multi-process gateways.
-            from repro.parallel import PlanDispatcher
+            from repro.parallel import PlanPool
 
-            dispatcher = PlanDispatcher(
-                session, processes=self.config.dispatch_processes,
-                pad_to=pad_to, ifm_errors=ifm_errors)
-            return dispatcher, dispatcher
+            pool = PlanPool(session, processes=self.config.dispatch_processes,
+                            include_injector=ifm_errors)
+
+            def submit(batch: np.ndarray) -> Future:
+                return pool.submit(InferenceSession.predict, batch,
+                                   pad_to=pad_to, ifm_errors=ifm_errors)
+
+            def dispatch_in_pool(batch: np.ndarray) -> np.ndarray:
+                return submit(batch).result()
+
+            dispatch_in_pool.submit = submit
+            return dispatch_in_pool, pool
         lock = network_lock(session.network)
 
         def dispatch(batch: np.ndarray) -> np.ndarray:
@@ -311,7 +327,7 @@ class ServingGateway:
         return self.telemetry.report(self.registry.stats)
 
     def close(self) -> None:
-        """Close every endpoint's batcher and dispatcher; sessions survive."""
+        """Close every endpoint's batcher and worker pool; sessions survive."""
         self._closed = True
         with self._lock:
             endpoints = list(self._endpoints.values())

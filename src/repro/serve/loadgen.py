@@ -341,7 +341,7 @@ class GatewayTarget:
 
     No HTTP, no admission control — used by stress tests that want maximum
     pressure on the :class:`~repro.serve.MicroBatcher` /
-    :class:`~repro.parallel.PlanDispatcher` dispatch path itself.
+    :class:`~repro.parallel.PlanPool` dispatch path itself.
     ``gateway`` is the :class:`~repro.serve.ServingGateway` under test.
     Statuses are synthesized to match the HTTP vocabulary (200 ok, 504
     deadline, 500 other failures).

@@ -29,21 +29,23 @@ import threading
 from typing import Dict, List, Optional, Union
 
 from repro.engine.session import InferenceSession
-from repro.parallel.dispatch import session_from_plan
-from repro.parallel.plan import ExportedPlan, PlanHandle, export_session_plan
+from repro.parallel.plan import (
+    ExportedPlan,
+    PlanHandle,
+    export_session_plan,
+    session_from_plan,
+)
 from repro.parallel.shm import fork_context
 from repro.serve.gateway import ServeConfig, ServingGateway
 from repro.serve.server import ServerConfig, serve_in_thread
 
 
-def _replica_main(handles: Dict[str, PlanHandle], batch_size: int,
-                  serve_config: ServeConfig, server_config: ServerConfig,
-                  conn) -> None:
+def _replica_main(handles: Dict[str, PlanHandle], serve_config: ServeConfig,
+                  server_config: ServerConfig, conn) -> None:
     """Child-process entry point: serve the exported plans until told to stop.
 
     ``handles`` maps endpoint names to the plan exports to attach
-    (zero-copy; the parent keeps the segments alive), ``batch_size`` sets
-    each rebuilt session's chunking default, ``serve_config`` /
+    (zero-copy; the parent keeps the segments alive), ``serve_config`` /
     ``server_config`` configure the gateway and HTTP front end, and
     ``conn`` is the pipe the bound port is reported through.  Runs until
     ``SIGTERM`` arrives or the parent closes the pipe, then drains the
@@ -58,8 +60,7 @@ def _replica_main(handles: Dict[str, PlanHandle], batch_size: int,
     gateway = ServingGateway(serve_config)
     try:
         for name, handle in sorted(handles.items()):
-            gateway.register(name,
-                             session=session_from_plan(handle, batch_size))
+            gateway.register(name, session=session_from_plan(handle))
         running = serve_in_thread(gateway, server_config)
     except Exception as error:
         conn.send(("error", repr(error)))
@@ -143,8 +144,6 @@ class ReplicaManager:
         :class:`~repro.parallel.plan.ExportedPlan` (retained, so the
         segments survive the original owner's close while replicas may
         still respawn from them).
-    batch_size:
-        Chunking default of each replica's rebuilt sessions.
     serve_config:
         Gateway config every replica runs; defaults apply when omitted.
         For FP32 endpoints ``max_batch`` must match the reference
@@ -159,12 +158,10 @@ class ReplicaManager:
 
     def __init__(self, endpoints: Dict[str, Union[InferenceSession,
                                                   ExportedPlan]], *,
-                 batch_size: int = 64,
                  serve_config: Optional[ServeConfig] = None,
                  server_config: Optional[ServerConfig] = None):
         if not endpoints:
             raise ValueError("ReplicaManager needs at least one endpoint")
-        self.batch_size = int(batch_size)
         self.serve_config = serve_config or ServeConfig()
         base = server_config or ServerConfig()
         self.server_config = ServerConfig(
@@ -207,8 +204,8 @@ class ReplicaManager:
         handles = {label: plan.handle for label, plan in self._plans.items()}
         process = context.Process(
             target=_replica_main,
-            args=(handles, self.batch_size, self.serve_config,
-                  self.server_config, child_conn),
+            args=(handles, self.serve_config, self.server_config,
+                  child_conn),
             name=f"repro-{name}", daemon=True)
         process.start()
         child_conn.close()

@@ -41,8 +41,7 @@ AUDITED_MODULES = [
     "repro/parallel/__init__.py",
     "repro/parallel/shm.py",
     "repro/parallel/plan.py",
-    "repro/parallel/executor.py",
-    "repro/parallel/dispatch.py",
+    "repro/parallel/pool.py",
     "repro/serve/__init__.py",
     "repro/serve/registry.py",
     "repro/serve/batcher.py",

@@ -20,7 +20,7 @@ Four pinned properties plus the end-to-end accuracy regime:
 The end-to-end pin: a BER regime where the raw static-store accuracy
 collapses below 0.5 while the RS-corrected store stays above 0.9, with a
 non-empty uncorrectable tail in the sweep accounting, plus cross-process
-``PlanDispatcher`` parity for corrected stores.
+``PlanPool`` parity for corrected stores.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ from repro.dram.injection import (
 from repro.dram.packed import _hash_uniform, xor_mask_from_positions
 from repro.engine.session import InferenceSession, ReadSemantics
 from repro.nn.tensor import DataKind
-from repro.parallel import PlanDispatcher
+from repro.parallel import PlanPool
 
 from tests.conftest import TEST_GEOMETRY
 
@@ -496,9 +496,7 @@ class TestCorrectionInTheLoop:
         inputs = np.asarray(dataset.val_x[:10])
         reference = session.predict(inputs, pad_to=4)
         assert session.injector.ecc_stats["corrected_codewords"] > 0
-        dispatcher = PlanDispatcher(session, processes=2, pad_to=4)
-        try:
-            assert dispatcher(inputs).tobytes() == reference.tobytes()
-        finally:
-            dispatcher.close()
-            session.invalidate()
+        with PlanPool(session, processes=2) as pool:
+            rows = pool.submit(InferenceSession.predict, inputs,
+                               pad_to=4).result()
+        assert rows.tobytes() == reference.tobytes()

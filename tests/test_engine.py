@@ -19,6 +19,7 @@ from repro.engine import evaluate as engine_evaluate
 from repro.nn.metrics import evaluate as metric_evaluate
 from repro.nn.quantization import QuantizedLoadTransform
 from repro.nn.tensor import DataKind, TensorSpec
+from repro.parallel import export_session_plan
 
 
 class _WeightLoadCounter:
@@ -296,7 +297,7 @@ class TestReadPathsReseed:
     read path reseeds before it draws, so nothing downstream can see where
     the stream was left."""
 
-    @pytest.mark.parametrize("between", ["materialize", "export_plan"])
+    @pytest.mark.parametrize("between", ["materialize", "export"])
     @pytest.mark.parametrize("semantics", [ReadSemantics.STATIC_STORE,
                                            ReadSemantics.PER_READ])
     @pytest.mark.parametrize("make_injector", [
@@ -317,7 +318,10 @@ class TestReadPathsReseed:
             first = session.predict(inputs, ifm_errors=ifm_errors)
             # Drop the cached store so the call below draws a full pass.
             session.invalidate()
-            getattr(session, between)()
+            if between == "materialize":
+                session.materialize()
+            else:
+                export_session_plan(session).close()
             assert session.predict(inputs, ifm_errors=ifm_errors).tobytes() \
                 == first.tobytes()
             assert session.evaluate(repeats=2) == score

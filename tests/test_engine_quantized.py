@@ -8,8 +8,8 @@ this suite pins the quantized path's own contract:
 * integer execution tracks the fake-quantize reference on a trained model
   (same storage semantics, cheaper arithmetic) within documented tolerance;
 * the path is exactly deterministic — bit-identical across batch shapes,
-  repeated runs, worker processes (``SweepExecutor``) and dispatcher
-  workers fed from shared memory (``PlanDispatcher``);
+  repeated runs, and sweep and serving workers of a ``PlanPool`` fed from
+  shared memory;
 * misconfiguration fails loudly (``execution_mode="integer"`` without
   code-valued storage, IFM errors on the integer path);
 * the serving layer advertises the execution mode and the zero-copy wire
@@ -33,7 +33,7 @@ from repro.nn.quantization import (
     recover_codes,
 )
 from repro.nn.tensor import DataKind
-from repro.parallel import PlanDispatcher, SweepExecutor
+from repro.parallel import PlanPool
 from repro.serve import ServeConfig, ServingGateway
 from repro.serve.server import ServerConfig, encode_rows, serve_in_thread
 from repro.serve import loadgen
@@ -226,13 +226,12 @@ class TestCrossProcessBitIdentity:
         injectors = [_store_injector(ber=ber, seed=1) for ber in (1e-4, 1e-2)]
         expected = [serial.evaluate(injector=injector, repeats=2, seed=1)
                     for injector in injectors]
-        with SweepExecutor(network, dataset, metric=spec.metric,
-                           semantics=ReadSemantics.STATIC_STORE,
-                           execution_mode="integer",
-                           processes=2) as executor:
-            parallel = executor.score_many(
-                [_store_injector(ber=ber, seed=1) for ber in (1e-4, 1e-2)],
-                repeats=2, seed=1)
+        with PlanPool(serial, processes=2) as pool:
+            futures = [pool.submit(InferenceSession.evaluate,
+                                   injector=_store_injector(ber=ber, seed=1),
+                                   repeats=2, seed=1)
+                       for ber in (1e-4, 1e-2)]
+            parallel = [future.result() for future in futures]
         assert parallel == expected
 
     def test_plan_dispatcher_matches_in_process_predict(self, lenet_clone):
@@ -240,20 +239,38 @@ class TestCrossProcessBitIdentity:
         session = _integer_session(network, dataset, spec.metric)
         inputs = np.asarray(dataset.val_x, dtype=np.float32)[:10]
         reference = session.predict(inputs, pad_to=4)
-        dispatcher = PlanDispatcher(session, processes=2, pad_to=4)
-        try:
-            assert dispatcher(inputs).tobytes() == reference.tobytes()
-        finally:
-            dispatcher.close()
+        with PlanPool(session, processes=2) as pool:
+            rows = pool.submit(InferenceSession.predict, inputs,
+                               pad_to=4).result()
+        assert rows.tobytes() == reference.tobytes()
 
     def test_plan_dispatcher_rejects_ifm_errors(self, lenet_clone):
         network, dataset, spec = lenet_clone
         session = _integer_session(network, dataset, spec.metric)
-        with pytest.raises(ValueError, match="IFM"):
-            PlanDispatcher(session, processes=2, pad_to=4, ifm_errors=True)
+        inputs = np.asarray(dataset.val_x, dtype=np.float32)[:2]
+        with PlanPool(session, processes=2, include_injector=True) as pool:
+            with pytest.raises(ValueError, match="IFM"):
+                pool.submit(InferenceSession.predict, inputs, pad_to=4,
+                            ifm_errors=True).result()
 
 
 class TestServingIntegration:
+    @pytest.mark.parametrize("dispatch_processes", [0, 2])
+    def test_gateway_rejects_ifm_errors_integer_endpoint(
+            self, lenet_clone, dispatch_processes):
+        # An integer plan serves IFMs from reliable DRAM, so an
+        # ifm_errors endpoint could never answer: register refuses it,
+        # in-process and multi-process alike.
+        network, dataset, spec = lenet_clone
+        config = ServeConfig(max_batch=4, auto_flush=False, ifm_errors=True,
+                             dispatch_processes=dispatch_processes)
+        with ServingGateway(config) as gateway:
+            with pytest.raises(ValueError, match="IFM"):
+                gateway.register("m", network, dataset,
+                                 injector=_store_injector(),
+                                 metric=spec.metric, execution_mode="integer")
+            assert gateway.endpoints() == []
+
     def test_gateway_serves_integer_endpoint_bit_identically(self, lenet_clone):
         network, dataset, spec = lenet_clone
         inputs = np.asarray(dataset.val_x, dtype=np.float32)[:12]

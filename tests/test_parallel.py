@@ -1,13 +1,21 @@
-"""Shared-memory parallel executor: parallel results must equal serial ones.
+"""Shared-memory worker pool: parallel results must equal serial ones.
 
 The contract of :mod:`repro.parallel` is *bit-identity*: every sweep family
 (BER grids, device operating points, per-tensor assignments, repeat
 averaging, the coarse characterization search) and multi-process serving
-dispatch must produce exactly the serial results — the executor only changes
+dispatch must produce exactly the serial results — the pool only changes
 where the work runs, never which streams are drawn.  These tests pin that,
 plus the shared-memory plumbing itself (zero-copy round trips, skeleton
-stripping leaving the live network untouched, fingerprint-keyed re-export).
+stripping leaving the live network untouched, export reference counts) and
+what a killed worker does to its pool.
 """
+
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import connection
 
 import numpy as np
 import pytest
@@ -24,9 +32,8 @@ from repro.nn.network import Network
 from repro.nn.quantization import QuantizedLoadTransform
 from repro.nn.tensor import DataKind
 from repro.parallel import (
-    PlanDispatcher,
+    PlanPool,
     SharedTensorStore,
-    SweepExecutor,
     attach_plan,
     attach_store,
     export_session_plan,
@@ -123,13 +130,17 @@ class TestSweepExecutorParity:
                                    semantics=ReadSemantics.PER_READ)
         serial = session.evaluate(injector=BitErrorInjector(model, seed=3),
                                   repeats=2, seed=3, stride=101)
-        with SweepExecutor(network, dataset, metric=spec.metric,
-                           semantics=ReadSemantics.PER_READ,
-                           processes=2) as executor:
-            parallel = executor.score_many([BitErrorInjector(model, seed=3)],
-                                           repeats=2, seed=3, stride=101)[0]
-            fanned = executor.score_repeats(BitErrorInjector(model, seed=3),
-                                            repeats=2, seed=3, stride=101)
+        with PlanPool(session, processes=2) as pool:
+            parallel = pool.submit(InferenceSession.evaluate,
+                                   injector=BitErrorInjector(model, seed=3),
+                                   repeats=2, seed=3, stride=101).result()
+            # One task per repeat, averaged in repeat order.
+            fanned = float(np.mean([
+                pool.submit(InferenceSession.evaluate,
+                            injector=BitErrorInjector(model, seed=3),
+                            repeats=1, seed=3 + repeat * 101,
+                            stride=101).result()
+                for repeat in range(2)]))
         assert serial == parallel == fanned
 
     def test_static_store_semantics_match(self, lenet_clone):
@@ -139,11 +150,10 @@ class TestSweepExecutorParity:
                                    semantics=ReadSemantics.STATIC_STORE)
         serial = session.evaluate(injector=BitErrorInjector(model, seed=1),
                                   repeats=2, seed=1, stride=1)
-        with SweepExecutor(network, dataset, metric=spec.metric,
-                           semantics=ReadSemantics.STATIC_STORE,
-                           processes=2) as executor:
-            parallel = executor.score_many([BitErrorInjector(model, seed=1)],
-                                           repeats=2, seed=1, stride=1)[0]
+        with PlanPool(session, processes=2) as pool:
+            parallel = pool.submit(InferenceSession.evaluate,
+                                   injector=BitErrorInjector(model, seed=1),
+                                   repeats=2, seed=1, stride=1).result()
         assert serial == parallel
 
 
@@ -240,15 +250,31 @@ class TestCoarseCharacterizationParallel:
         assert serial.tested == parallel.tested
 
 
+def _attachable(handle) -> bool:
+    """Whether the shared-memory segment behind ``handle`` still exists."""
+    from multiprocessing import shared_memory
+
+    try:
+        shm = shared_memory.SharedMemory(name=handle.segment)
+    except FileNotFoundError:
+        return False
+    shm.close()
+    return True
+
+
 class TestSessionExport:
     def test_sweep_executor_exports_an_injector_free_plan(self, lenet_clone):
+        # The runner's sweep pool exports its injector-free session: only
+        # weights and dataset travel, plus the settings workers mirror.
         network, dataset, spec = lenet_clone
-        with SweepExecutor(network, dataset, metric=spec.metric,
-                           processes=2) as executor:
-            handle = executor._plan.handle
-            assert handle.store is None and handle.store_key is None
+        with ExperimentRunner(network, dataset, metric=spec.metric,
+                              processes=2) as runner:
+            handle = runner._pool()._plan.handle
+            assert handle.store is None
             assert handle.injector is None and handle.qplan is None
             assert handle.dataset is not None
+            assert handle.metric == spec.metric
+            assert handle.semantics == ReadSemantics.PER_READ.value
 
     def test_one_export_and_one_scoring_entry_point(self):
         import repro.parallel
@@ -256,26 +282,10 @@ class TestSessionExport:
         assert not hasattr(repro.parallel, "export_network_plan")
         assert "export_session_plan" in repro.parallel.__all__
         assert not hasattr(InferenceSession, "score")
-
-    def test_export_reused_until_fingerprint_changes(self, lenet_clone):
-        network, dataset, _ = lenet_clone
-        injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
-                                    data_kinds={DataKind.WEIGHT}, seed=0)
-        session = InferenceSession(network, dataset, injector=injector,
-                                   semantics=ReadSemantics.STATIC_STORE)
-        first = session.export_plan()
-        assert session.export_plan() is first
-        # A new operating point changes the fingerprint: the session must
-        # re-export under a fresh token and unlink the stale segments.
-        session.set_injector(
-            BitErrorInjector(make_error_model(0, 1e-2, seed=0),
-                             data_kinds={DataKind.WEIGHT}, seed=0))
-        second = session.export_plan()
-        assert second is not first
-        assert second.handle.token != first.handle.token
-        assert first._closed
-        session.invalidate()
-        assert second._closed
+        # One pool class, and no session-owned export cache.
+        assert not hasattr(repro.parallel, "SweepExecutor")
+        assert not hasattr(repro.parallel, "PlanDispatcher")
+        assert not hasattr(InferenceSession, "export_plan")
 
     def test_exported_store_matches_materialized(self, lenet_clone):
         network, dataset, _ = lenet_clone
@@ -283,13 +293,12 @@ class TestSessionExport:
                                     data_kinds={DataKind.WEIGHT}, seed=0)
         session = InferenceSession(network, dataset, injector=injector,
                                    semantics=ReadSemantics.STATIC_STORE)
-        exported = session.export_plan()
-        attached = attach_plan(exported.handle)
-        store = session.materialized_weights()
-        assert set(attached.store) == set(store)
-        for name, array in store.items():
-            assert attached.store[name].tobytes() == array.tobytes()
-        session.invalidate()
+        with export_session_plan(session) as exported:
+            attached = attach_plan(exported.handle)
+            store = session.materialized_weights()
+            assert set(attached.store) == set(store)
+            for name, array in store.items():
+                assert attached.store[name].tobytes() == array.tobytes()
 
     def test_retained_export_survives_owner_close(self, lenet_clone):
         network, dataset, _ = lenet_clone
@@ -297,14 +306,14 @@ class TestSessionExport:
                                     data_kinds={DataKind.WEIGHT}, seed=0)
         session = InferenceSession(network, dataset, injector=injector,
                                    semantics=ReadSemantics.STATIC_STORE)
-        exported = session.export_plan()
+        exported = export_session_plan(session)
         assert exported.refs == 1
         # An adopter (the ReplicaManager path) takes its own reference...
         assert exported.retain() is exported
         assert exported.refs == 2
-        # ...so the owning session's invalidate must NOT unlink the
-        # segments out from under it.
-        session.invalidate()
+        # ...so the creator's close must NOT unlink the segments out from
+        # under it.
+        exported.close()
         assert exported._closed
         assert exported.refs == 1
         attached = attach_plan(exported.handle)
@@ -322,52 +331,28 @@ class TestSessionExport:
                                     data_kinds={DataKind.WEIGHT}, seed=0)
         session = InferenceSession(network, dataset, injector=injector,
                                    semantics=ReadSemantics.STATIC_STORE)
-        exported = session.export_plan()
-        session.invalidate()                 # refs 1 -> 0: unlinked
+        exported = export_session_plan(session)
+        exported.close()                     # refs 1 -> 0: unlinked
         assert exported.refs == 0
         with pytest.raises(RuntimeError):
             exported.retain()
         exported.close()                     # idempotent after unlink
-
-    @staticmethod
-    def _segments_attachable(exported) -> bool:
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(
-                name=exported.handle.weights.segment)
-        except FileNotFoundError:
-            return False
-        shm.close()
-        return True
-
-    def test_session_close_unlinks_export(self, lenet_clone):
-        network, dataset, _ = lenet_clone
-        injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
-                                    data_kinds={DataKind.WEIGHT}, seed=0)
-        session = InferenceSession(network, dataset, injector=injector,
-                                   semantics=ReadSemantics.STATIC_STORE)
-        exported = session.export_plan()
-        assert self._segments_attachable(exported)
-        session.close()
-        assert exported.refs == 0
-        assert not self._segments_attachable(exported)
 
     def test_session_close_keeps_retained_export_attachable(self,
                                                             lenet_clone):
         network, dataset, _ = lenet_clone
         injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
                                     data_kinds={DataKind.WEIGHT}, seed=0)
-        with InferenceSession(network, dataset, injector=injector,
-                              semantics=ReadSemantics.STATIC_STORE) as session:
-            exported = session.export_plan()
+        session = InferenceSession(network, dataset, injector=injector,
+                                   semantics=ReadSemantics.STATIC_STORE)
+        with export_session_plan(session) as exported:
             adopter = exported.retain()
-        # The session's reference is gone; the adopter's keeps the segments.
+        # The creator's reference is gone; the adopter's keeps the segments.
         assert exported.refs == 1
-        assert self._segments_attachable(exported)
+        assert _attachable(exported.handle.weights)
         adopter.release()
         assert exported.refs == 0
-        assert not self._segments_attachable(exported)
+        assert not _attachable(exported.handle.weights)
 
 
 class TestMultiProcessServing:
@@ -398,12 +383,10 @@ class TestMultiProcessServing:
                                    semantics=ReadSemantics.STATIC_STORE)
         inputs = np.asarray(dataset.val_x[:10])
         reference = session.predict(inputs, pad_to=4)
-        dispatcher = PlanDispatcher(session, processes=2, pad_to=4)
-        try:
-            assert dispatcher(inputs).tobytes() == reference.tobytes()
-        finally:
-            dispatcher.close()
-            session.invalidate()
+        with PlanPool(session, processes=2) as pool:
+            rows = pool.submit(InferenceSession.predict, inputs,
+                               pad_to=4).result()
+        assert rows.tobytes() == reference.tobytes()
 
     def test_plan_dispatcher_per_read_matches_session_predict(self, lenet_clone):
         # A per-read session has no store to freeze: the injector must ship
@@ -416,15 +399,15 @@ class TestMultiProcessServing:
         inputs = np.asarray(dataset.val_x[:10])
         reference = session.predict(inputs, pad_to=4)
         assert reference.tobytes() == session.predict(inputs, pad_to=4).tobytes()
-        dispatcher = PlanDispatcher(session, processes=2, pad_to=4)
-        try:
-            assert dispatcher(inputs).tobytes() == reference.tobytes()
-        finally:
-            dispatcher.close()
+        with PlanPool(session, processes=2) as pool:
+            rows = pool.submit(InferenceSession.predict, inputs,
+                               pad_to=4).result()
+        assert rows.tobytes() == reference.tobytes()
 
     def test_plan_dispatcher_survives_session_reexport(self, lenet_clone):
-        # The dispatcher owns its export: a session fingerprint change (which
-        # unlinks the session's own cached export) must not break dispatch.
+        # The pool owns its export: workers (which fork lazily, at the first
+        # submit) serve it after the session's injector changed and the
+        # session was invalidated.
         network, dataset, _ = lenet_clone
         injector = BitErrorInjector(make_error_model(0, 1e-3, seed=0),
                                     data_kinds={DataKind.WEIGHT}, seed=0)
@@ -432,17 +415,14 @@ class TestMultiProcessServing:
                                    semantics=ReadSemantics.STATIC_STORE)
         inputs = np.asarray(dataset.val_x[:6])
         reference = session.predict(inputs, pad_to=4)
-        dispatcher = PlanDispatcher(session, processes=2, pad_to=4)
-        try:
-            session.export_plan()                 # session-owned export...
+        with PlanPool(session, processes=2) as pool:
             session.set_injector(
                 BitErrorInjector(make_error_model(0, 1e-2, seed=0),
                                  data_kinds={DataKind.WEIGHT}, seed=0))
-            session.export_plan()                 # ...re-exported + unlinked
-            assert dispatcher(inputs).tobytes() == reference.tobytes()
-        finally:
-            dispatcher.close()
             session.invalidate()
+            rows = pool.submit(InferenceSession.predict, inputs,
+                               pad_to=4).result()
+        assert rows.tobytes() == reference.tobytes()
 
 
 def replica_parity_session(kind, network, dataset):
@@ -530,10 +510,10 @@ class TestShapeExactDispatch:
             rows = session.predict(inputs[:n], pad_to=self.MAX_BATCH)
             assert seen() == [n]
             assert rows.tobytes() == serial[:n].tobytes()
-        with PlanDispatcher(session, processes=1,
-                            pad_to=self.MAX_BATCH) as dispatcher:
+        with PlanPool(session, processes=1) as pool:
             for n in range(1, self.MAX_BATCH + 1):
-                rows = dispatcher(inputs[:n])
+                rows = pool.submit(InferenceSession.predict, inputs[:n],
+                                   pad_to=self.MAX_BATCH).result()
                 assert seen() == [n]
                 assert rows.tobytes() == serial[:n].tobytes()
 
@@ -548,10 +528,51 @@ class TestShapeExactDispatch:
         seen = _spy_forward_rows(monkeypatch, tmp_path / "rows")
         session.predict(inputs, pad_to=self.MAX_BATCH)
         assert seen() == [self.MAX_BATCH]
-        with PlanDispatcher(session, processes=1,
-                            pad_to=self.MAX_BATCH) as dispatcher:
-            dispatcher(inputs)
+        with PlanPool(session, processes=1) as pool:
+            pool.submit(InferenceSession.predict, inputs,
+                        pad_to=self.MAX_BATCH).result()
             assert seen() == [self.MAX_BATCH]
+
+
+class TestWorkerDeath:
+    """What a killed worker does to its pool today: the pool stays broken.
+
+    Rebuilding the pool from its export is not implemented; this pins the
+    current behaviour so that change shows up as a deliberate test edit.
+    """
+
+    def test_killed_worker_breaks_pool_and_close_cleans_up(self,
+                                                           lenet_clone):
+        network, dataset, spec = lenet_clone
+        session = _int8_session(network, dataset, spec.metric)
+        inputs = np.asarray(dataset.val_x[:4], dtype=np.float32)
+        before = set(multiprocessing.active_children())
+        pool = PlanPool(session, processes=2)
+        handle = pool._plan.handle
+        try:
+            pool.submit(InferenceSession.predict, inputs, pad_to=4).result()
+            workers = [child for child in multiprocessing.active_children()
+                       if child not in before]
+            assert len(workers) == 2
+            os.kill(workers[0].pid, signal.SIGKILL)
+            # The pool marks itself broken before it terminates the
+            # surviving worker, so once every worker has exited no later
+            # submit can race the breakage.
+            deadline = time.monotonic() + 60.0
+            pending = [worker.sentinel for worker in workers]
+            while pending and time.monotonic() < deadline:
+                ready = connection.wait(pending, timeout=1.0)
+                pending = [fd for fd in pending if fd not in ready]
+            assert not pending
+            for _ in range(2):
+                with pytest.raises(BrokenProcessPool):
+                    pool.submit(InferenceSession.predict, inputs,
+                                pad_to=4).result()
+        finally:
+            pool.close()
+        for segment in (handle.weights, handle.store, handle.dataset):
+            assert not _attachable(segment)
+        assert not any(worker.is_alive() for worker in workers)
 
 
 class TestBoostingParallel:

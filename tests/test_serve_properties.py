@@ -11,7 +11,7 @@ Two satellite suites of the HTTP-serving PR:
   step.
 * **Concurrency stress** — N producer threads driving a gateway through
   the loadgen harness must produce results tobytes-identical to serial
-  dispatch (in-process MicroBatcher and multi-process PlanDispatcher
+  dispatch (in-process MicroBatcher and multi-process PlanPool
   alike), and ``close()`` racing in-flight flushes must never deadlock
   (regression for the PR-4 shutdown-sentinel fix).
 """
@@ -161,7 +161,7 @@ class TestConcurrencyStress:
         assert result.stacked_rows().tobytes() == reference.tobytes()
 
     def test_plan_dispatcher_producers_bit_identical_to_serial(self):
-        """The same guarantee through multi-process PlanDispatcher workers
+        """The same guarantee through multi-process PlanPool workers
         (each holding a zero-copy view of the exported plan)."""
         network = _tiny_network("stress-mp", 8)
         gateway = ServingGateway(ServeConfig(max_batch=4, max_wait_ms=1.0,
