@@ -152,27 +152,47 @@ class RsCodecModel:
             raise ValueError(f"{bits_per_word}-bit words do not tile "
                              f"{self.name()} symbols and codewords")
         n = stored.size
-        if n == 0:
-            return observed.copy(), EccReport()
-
         words_per_codeword = spec.data_bits // bits_per_word
         n_codewords = -(-n // words_per_codeword)
-        diff = np.zeros(n_codewords * words_per_codeword, dtype=np.uint64)
-        np.bitwise_xor(stored, observed, out=diff[:n])   # zero-diff tail pad
-        # One column per symbol-wide slice of a word; a symbol wider than a
-        # word ORs the slices of its consecutive words.
+        corrected = observed.copy()
+        flat = corrected.reshape(-1)
+        # Cost follows the errors: only words that differ from what was
+        # stored can hold a corrupted symbol or need reverting.
+        touched = np.flatnonzero(stored != observed)
+        if touched.size == 0:
+            return corrected, EccReport(codewords=int(n_codewords))
+        stored = stored.reshape(-1)
+        diff = stored[touched] ^ flat[touched]
         mask = np.uint64((1 << width) - 1)
-        slices = np.stack([((diff >> np.uint64(shift)) & mask) != 0
-                           for shift in range(0, bits_per_word, width)], axis=1)
-        error_counts = np.count_nonzero(slices.reshape(
-            n_codewords, spec.data_symbols, -1).any(axis=2), axis=1)
+        if bits_per_word > width:
+            # Several symbols per word: each non-zero slice is one symbol.
+            symbols = np.zeros(touched.size, dtype=np.int64)
+            for shift in range(0, bits_per_word, width):
+                symbols += ((diff >> np.uint64(shift)) & mask) != 0
+        else:
+            # A symbol spans consecutive words and counts once across them:
+            # keep the first dirty word of each symbol (``touched`` ascends).
+            dirty = np.flatnonzero((diff & mask) != 0)
+            symbol_of = touched[dirty] // (spec.symbol_bits // bits_per_word)
+            first = np.ones(dirty.size, dtype=bool)
+            np.not_equal(symbol_of[1:], symbol_of[:-1], out=first[1:])
+            symbols = np.zeros(touched.size, dtype=np.int64)
+            symbols[dirty[first]] = 1
+        # Group the touched words by codeword (again ascending) and count
+        # each dirty codeword's corrupted symbols.
+        codeword_of = touched // words_per_codeword
+        opens = np.ones(touched.size, dtype=bool)
+        np.not_equal(codeword_of[1:], codeword_of[:-1], out=opens[1:])
+        group = np.cumsum(opens) - 1
+        error_counts = np.bincount(group, weights=symbols).astype(np.int64)
+        codewords = codeword_of[opens]
 
         t = spec.correctable_symbols
         correctable = (error_counts > 0) & (error_counts <= t)
         uncorrectable = error_counts > t
-        miscorrected = np.zeros(n_codewords, dtype=bool)
+        miscorrected = np.zeros(codewords.size, dtype=bool)
         if self.miscorrection_rate > 0.0 and uncorrectable.any():
-            indices = np.arange(n_codewords, dtype=np.uint64) + np.uint64(key)
+            indices = codewords.astype(np.uint64) + np.uint64(key)
             lottery = _hash_uniform(indices, self.seed, stream=602)
             miscorrected = uncorrectable & (lottery < self.miscorrection_rate)
 
@@ -182,14 +202,14 @@ class RsCodecModel:
             corrected_symbols=int(error_counts[correctable].sum()),
             uncorrectable_codewords=int((uncorrectable & ~miscorrected).sum()),
             miscorrected_codewords=int(miscorrected.sum()))
-        corrected = np.where(np.repeat(correctable, words_per_codeword)[:n],
-                             stored, observed)
+        revert = touched[correctable[group]]
+        flat[revert] = stored[revert]
         if miscorrected.any():
             # A miscorrecting decoder writes garbage: garble the first
             # symbol of each miscorrected codeword on top of the raw flips.
-            starts = np.nonzero(miscorrected)[0] * words_per_codeword
+            starts = codewords[miscorrected] * words_per_codeword
             words = starts[:, None] + np.arange(spec.symbol_bits // width)
-            corrected[words[words < n]] ^= mask
+            flat[words[words < n]] ^= mask
         return corrected, report
 
 

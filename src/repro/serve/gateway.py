@@ -146,24 +146,31 @@ class ServingGateway:
         the same operating point twice reuses the cached plan (a registry
         hit) instead of re-materializing.  Raises ``ValueError`` when the
         config asks for ``ifm_errors`` and the session is shape-exact: a
-        fused integer plan serves IFMs from reliable DRAM.  Returns the
-        endpoint's session.
+        fused integer plan serves IFMs from reliable DRAM.  A register that
+        raises drops the registry entry it compiled; an entry that was
+        already cached stays.  Returns the endpoint's session.
         """
         if self._closed:
             raise RuntimeError("gateway is closed")
-        if session is not None:
-            self.registry.add(session)
-        else:
-            if network is None:
-                raise ValueError("register() needs a session or a network")
-            session = self.registry.get_or_compile(
-                network, dataset, injector=injector, seed=seed,
-                **session_kwargs)
-        if self.config.ifm_errors and session.shape_exact():
-            raise ValueError(
-                "ifm_errors serving needs the FP32 path; integer execution "
-                "serves IFMs from reliable DRAM")
-        dispatch, pool = self._dispatcher(session)
+        if session is None and network is None:
+            raise ValueError("register() needs a session or a network")
+        cached = set(self.registry.keys())
+        try:
+            if session is not None:
+                self.registry.add(session)
+            else:
+                session = self.registry.get_or_compile(
+                    network, dataset, injector=injector, seed=seed,
+                    **session_kwargs)
+            if self.config.ifm_errors and session.shape_exact():
+                raise ValueError(
+                    "ifm_errors serving needs the FP32 path; integer "
+                    "execution serves IFMs from reliable DRAM")
+            dispatch, pool = self._dispatcher(session)
+        except BaseException:
+            for key in set(self.registry.keys()) - cached:
+                self.registry.discard(key)
+            raise
         # A shape-exact plan's cost scales with its rows: waiting for
         # stragglers buys it nothing.
         max_wait_ms = 0.0 if session.shape_exact() else self.config.max_wait_ms

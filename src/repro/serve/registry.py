@@ -209,6 +209,18 @@ class SessionRegistry:
             self._insert(key, session)
         return key
 
+    def discard(self, key: tuple) -> None:
+        """Undo the compilation that cached ``key``.
+
+        For a caller whose compile succeeded but whose use of the plan then
+        failed (e.g. a rejected gateway endpoint): the entry leaves the
+        cache and the compilation and byte counts drop back.  The session
+        itself is left as it is, since the caller may still hold it.
+        """
+        del self._entries[key]
+        self.stats["compilations"] -= 1
+        self._refresh_bytes()
+
     # -- bookkeeping --------------------------------------------------------------
     def _insert(self, key: tuple, session: InferenceSession) -> None:
         self._entries[key] = _Entry(session, session_store_bytes(session))

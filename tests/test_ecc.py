@@ -42,6 +42,7 @@ from repro.dram.injection import (
     inject_bit_errors_reference,
 )
 from repro.dram.packed import _hash_uniform, xor_mask_from_positions
+from repro.dram.packed import hash_keys, scan_weak_positions, uniform_threshold
 from repro.engine.session import InferenceSession, ReadSemantics
 from repro.nn.tensor import DataKind
 from repro.parallel import PlanPool
@@ -368,6 +369,120 @@ class TestWordLevelDecodeExactness:
         corrected, _ = RsCodecModel().correct_words(stored, observed, 32)
         assert not np.shares_memory(corrected, observed)
         assert not np.shares_memory(corrected, stored)
+
+
+def _per_codeword_reference(codec, stored, observed, bits_per_word, key):
+    """Plain per-codeword oracle for :meth:`RsCodecModel.correct_words`.
+
+    Walks the codewords one at a time as Python integers: a codeword's
+    data bits are its words' diffs laid end to end, symbol ``k`` is bits
+    ``[k * symbol_bits, (k + 1) * symbol_bits)``, and a miscorrection XORs
+    the first ``symbol_bits`` bits, clipped to the tensor end.
+    """
+    spec = codec.spec
+    t = spec.correctable_symbols
+    word_mask = (1 << bits_per_word) - 1
+    symbol_mask = (1 << spec.symbol_bits) - 1
+    words_per_codeword = spec.data_bits // bits_per_word
+    n = stored.size
+    corrected = observed.copy()
+    report = EccReport()
+    for index, start in enumerate(range(0, n, words_per_codeword)):
+        stop = min(start + words_per_codeword, n)
+        bits = 0
+        for offset, word in enumerate(range(start, stop)):
+            diff = int(stored[word]) ^ int(observed[word])
+            bits |= (diff & word_mask) << (offset * bits_per_word)
+        errors = sum(1 for symbol in range(spec.data_symbols)
+                     if (bits >> (symbol * spec.symbol_bits)) & symbol_mask)
+        report.codewords += 1
+        if errors == 0:
+            continue
+        if errors <= t:
+            corrected[start:stop] = stored[start:stop]
+            report.corrected_codewords += 1
+            report.corrected_symbols += errors
+            continue
+        draw = _hash_uniform(np.array([index + key], dtype=np.uint64),
+                             codec.seed, stream=602)[0]
+        if draw < codec.miscorrection_rate:
+            report.miscorrected_codewords += 1
+            for bit in range(spec.symbol_bits):
+                word = start + bit // bits_per_word
+                if word < n:
+                    corrected[word] ^= np.uint64(1 << (bit % bits_per_word))
+        else:
+            report.uncorrectable_codewords += 1
+    return corrected, report
+
+
+class TestDifferentialDecode:
+    """The touched-word decoder equals a per-codeword oracle exactly."""
+
+    @staticmethod
+    def _observed(stored, bits, pattern, rng):
+        size = stored.size
+        if pattern == "untouched":
+            return stored.copy()
+        if pattern == "every_word":
+            return stored ^ rng.integers(1, 1 << bits, size=size,
+                                         dtype=np.uint64)
+        if pattern == "bursts":
+            # Whole-symbol bursts, 1..t+1 per codeword: a symbol wider than
+            # a word dirties all of its words and must still count once.
+            positions = []
+            for start in range(0, size * bits, DATA_BITS):
+                count = int(rng.integers(1, T + 2))
+                for symbol in rng.choice(SPEC.data_symbols, size=count,
+                                         replace=False):
+                    base = start + int(symbol) * SPEC.symbol_bits
+                    positions.extend(range(base, base + SPEC.symbol_bits))
+            positions = np.array(positions, dtype=np.int64)
+            positions = positions[positions < size * bits]
+            return stored ^ xor_mask_from_positions(positions, size, bits)
+        # Sparse single-bit flips in ~2% of the words.
+        flips = np.uint64(1) << rng.integers(0, bits, size=size).astype(
+            np.uint64)
+        flips[rng.random(size) >= 0.02] = 0
+        return stored ^ flips
+
+    @pytest.mark.parametrize("pattern",
+                             ["untouched", "sparse", "bursts", "every_word"])
+    @pytest.mark.parametrize("bits", [4, 8, 16, 32])
+    def test_matches_per_codeword_reference(self, bits, pattern):
+        per_codeword = DATA_BITS // bits
+        rng = np.random.default_rng(bits)
+        # Five whole codewords and a partial tail codeword.
+        size = 5 * per_codeword + per_codeword // 2 + 1
+        stored = rng.integers(0, 1 << bits, size=size, dtype=np.uint64)
+        observed = self._observed(stored, bits, pattern, rng)
+        for rate in (0.0, 0.3):
+            for key in (0, 4099):
+                codec = RsCodecModel(miscorrection_rate=rate, seed=13)
+                corrected, report = codec.correct_words(stored, observed,
+                                                        bits, key=key)
+                expected, expected_report = _per_codeword_reference(
+                    codec, stored, observed, bits, key)
+                assert corrected.tobytes() == expected.tobytes()
+                assert report == expected_report
+                if pattern == "untouched":
+                    assert corrected.tobytes() == stored.tobytes()
+
+    def test_weak_scan_positions_independent_of_chunk_size(self,
+                                                           monkeypatch):
+        threshold = uniform_threshold(1e-3)
+
+        def weak(absolute):
+            return hash_keys(absolute, 5, 7) < threshold
+
+        num_bits = 3 * (1 << 20) + 12345
+        positions = {}
+        for chunk_bits in (1 << 20, 1 << 17):
+            monkeypatch.setattr("repro.dram.packed.CHUNK_BITS", chunk_bits)
+            positions[chunk_bits] = scan_weak_positions(num_bits, 77, weak)
+        assert positions[1 << 20].size > 0
+        assert (positions[1 << 20].tobytes()
+                == positions[1 << 17].tobytes())
 
 
 class TestMonotonicity:

@@ -271,6 +271,30 @@ class TestServingIntegration:
                                  metric=spec.metric, execution_mode="integer")
             assert gateway.endpoints() == []
 
+    def test_rejected_register_leaves_registry_as_found(self, lenet_clone):
+        network, dataset, spec = lenet_clone
+        config = ServeConfig(max_batch=4, auto_flush=False, ifm_errors=True)
+        with ServingGateway(config) as gateway:
+            registry = gateway.registry
+            kwargs = dict(injector=_store_injector(), metric=spec.metric,
+                          execution_mode="integer")
+            # The rejected register compiled the plan: it is dropped again.
+            with pytest.raises(ValueError, match="IFM"):
+                gateway.register("m", network, dataset, **kwargs)
+            assert len(registry) == 0
+            assert registry.stats["compilations"] == 0
+            assert registry.stats["stored_bytes"] == 0
+            # A plan that was cached before the call is a hit: it stays.
+            cached = registry.get_or_compile(network, dataset, **kwargs)
+            stored_bytes = registry.stats["stored_bytes"]
+            with pytest.raises(ValueError, match="IFM"):
+                gateway.register("m", network, dataset, **kwargs)
+            with pytest.raises(ValueError, match="IFM"):
+                gateway.register("m", session=cached)
+            assert registry.sessions() == [cached]
+            assert registry.stats["compilations"] == 1
+            assert registry.stats["stored_bytes"] == stored_bytes > 0
+
     def test_gateway_serves_integer_endpoint_bit_identically(self, lenet_clone):
         network, dataset, spec = lenet_clone
         inputs = np.asarray(dataset.val_x, dtype=np.float32)[:12]

@@ -454,6 +454,40 @@ class TestGateway:
         assert gateway.registry.stats["hits"] == 1
         gateway.close()
 
+    def test_failed_pool_build_drops_the_compiled_entry(self, lenet_clone,
+                                                        monkeypatch):
+        # A register that cannot build its dispatch pool must not leave a
+        # compiled session counting against the registry's budgets.
+        import repro.parallel
+
+        def broken_pool(*args, **kwargs):
+            raise RuntimeError("pool failed to start")
+
+        monkeypatch.setattr(repro.parallel, "PlanPool", broken_pool)
+        network, dataset, spec = lenet_clone
+        gateway = ServingGateway(ServeConfig(auto_flush=False,
+                                             dispatch_processes=2))
+        injector = _weight_injector()
+        with pytest.raises(RuntimeError, match="pool failed"):
+            gateway.register("m", network, dataset, injector=injector,
+                             metric=spec.metric)
+        assert gateway.endpoints() == []
+        assert len(gateway.registry) == 0
+        assert gateway.registry.stats["compilations"] == 0
+        assert gateway.registry.stats["stored_bytes"] == 0
+        # A pre-existing entry the failed register hit stays cached.
+        cached = gateway.registry.get_or_compile(network, dataset,
+                                                 injector=injector,
+                                                 metric=spec.metric)
+        stored_bytes = gateway.registry.stats["stored_bytes"]
+        with pytest.raises(RuntimeError, match="pool failed"):
+            gateway.register("m", network, dataset, injector=injector,
+                             metric=spec.metric)
+        assert gateway.registry.sessions() == [cached]
+        assert gateway.registry.stats["compilations"] == 1
+        assert gateway.registry.stats["stored_bytes"] == stored_bytes
+        gateway.close()
+
     def test_report_mentions_models_and_cache(self, lenet_clone):
         network, dataset, spec = lenet_clone
         gateway = ServingGateway(ServeConfig(max_batch=4, auto_flush=False))
