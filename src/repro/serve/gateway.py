@@ -147,14 +147,16 @@ class ServingGateway:
         hit) instead of re-materializing.  Raises ``ValueError`` when the
         config asks for ``ifm_errors`` and the session is shape-exact: a
         fused integer plan serves IFMs from reliable DRAM.  A register that
-        raises drops the registry entry it compiled; an entry that was
-        already cached stays.  Returns the endpoint's session.
+        raises closes the pool it built and reverts the registry: the entry
+        it compiled is dropped, and a cached session it replaced is put
+        back.  Returns the endpoint's session.
         """
         if self._closed:
             raise RuntimeError("gateway is closed")
         if session is None and network is None:
             raise ValueError("register() needs a session or a network")
-        cached = set(self.registry.keys())
+        before = self.registry.snapshot()
+        pool = None
         try:
             if session is not None:
                 self.registry.add(session)
@@ -167,18 +169,20 @@ class ServingGateway:
                     "ifm_errors serving needs the FP32 path; integer "
                     "execution serves IFMs from reliable DRAM")
             dispatch, pool = self._dispatcher(session)
+            # A shape-exact plan's cost scales with its rows: waiting for
+            # stragglers buys it nothing.
+            max_wait_ms = (0.0 if session.shape_exact()
+                           else self.config.max_wait_ms)
+            batcher = MicroBatcher(dispatch,
+                                   max_batch=self.config.max_batch,
+                                   max_wait_ms=max_wait_ms,
+                                   name=name, telemetry=self.telemetry,
+                                   auto=self.config.auto_flush)
         except BaseException:
-            for key in set(self.registry.keys()) - cached:
-                self.registry.discard(key)
+            if pool is not None:
+                pool.close()
+            self.registry.revert(before)
             raise
-        # A shape-exact plan's cost scales with its rows: waiting for
-        # stragglers buys it nothing.
-        max_wait_ms = 0.0 if session.shape_exact() else self.config.max_wait_ms
-        batcher = MicroBatcher(dispatch,
-                               max_batch=self.config.max_batch,
-                               max_wait_ms=max_wait_ms,
-                               name=name, telemetry=self.telemetry,
-                               auto=self.config.auto_flush)
         with self._lock:
             previous = self._endpoints.get(name)
             self._endpoints[name] = _Endpoint(name, session, batcher, pool)

@@ -209,16 +209,29 @@ class SessionRegistry:
             self._insert(key, session)
         return key
 
-    def discard(self, key: tuple) -> None:
-        """Undo the compilation that cached ``key``.
+    def snapshot(self) -> Dict[tuple, InferenceSession]:
+        """Return the cached sessions by key, for a later :meth:`revert`."""
+        return {key: entry.session for key, entry in self._entries.items()}
+
+    def revert(self, snapshot: Dict[tuple, InferenceSession]) -> None:
+        """Undo the compiles and replacements made since ``snapshot``.
 
         For a caller whose compile succeeded but whose use of the plan then
-        failed (e.g. a rejected gateway endpoint): the entry leaves the
-        cache and the compilation and byte counts drop back.  The session
-        itself is left as it is, since the caller may still hold it.
+        failed (e.g. a rejected gateway endpoint): an entry cached since the
+        snapshot leaves the cache and its compilation no longer counts, and
+        a session :meth:`add` swapped in under a cached key gives way to the
+        one it replaced.  Entries a compile evicted stay evicted.  The
+        sessions themselves are left as they are, since callers may still
+        hold them.
         """
-        del self._entries[key]
-        self.stats["compilations"] -= 1
+        for key in list(self._entries):
+            entry = self._entries[key]
+            if key not in snapshot:
+                del self._entries[key]
+                self.stats["compilations"] -= 1
+            elif entry.session is not snapshot[key]:
+                entry.session = snapshot[key]
+                entry.nbytes = session_store_bytes(entry.session)
         self._refresh_bytes()
 
     # -- bookkeeping --------------------------------------------------------------

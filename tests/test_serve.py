@@ -488,6 +488,48 @@ class TestGateway:
         assert gateway.registry.stats["stored_bytes"] == stored_bytes
         gateway.close()
 
+    def test_failed_batcher_closes_the_pool_and_restores_the_cache(
+            self, lenet_clone, monkeypatch):
+        # A register that fails after building its pool closes that pool,
+        # and a session it swapped in under a cached key gives way again.
+        import repro.parallel
+        import repro.serve.gateway
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, *args, **kwargs):
+                self.closed = False
+                pools.append(self)
+
+            def close(self):
+                self.closed = True
+
+        def broken_batcher(*args, **kwargs):
+            raise RuntimeError("batcher failed to start")
+
+        monkeypatch.setattr(repro.parallel, "PlanPool", RecordingPool)
+        monkeypatch.setattr(repro.serve.gateway, "MicroBatcher",
+                            broken_batcher)
+        network, dataset, spec = lenet_clone
+        gateway = ServingGateway(ServeConfig(auto_flush=False,
+                                             dispatch_processes=2))
+        injector = _weight_injector()
+        cached = gateway.registry.get_or_compile(network, dataset,
+                                                 injector=injector,
+                                                 metric=spec.metric)
+        stored_bytes = gateway.registry.stats["stored_bytes"]
+        twin = InferenceSession(network, dataset, injector=injector,
+                                metric=spec.metric)
+        with pytest.raises(RuntimeError, match="batcher failed"):
+            gateway.register("m", session=twin)
+        assert [pool.closed for pool in pools] == [True]
+        assert gateway.endpoints() == []
+        assert gateway.registry.sessions() == [cached]
+        assert gateway.registry.stats["compilations"] == 1
+        assert gateway.registry.stats["stored_bytes"] == stored_bytes
+        gateway.close()
+
     def test_report_mentions_models_and_cache(self, lenet_clone):
         network, dataset, spec = lenet_clone
         gateway = ServingGateway(ServeConfig(max_batch=4, auto_flush=False))
