@@ -4,6 +4,12 @@ Everything here is implemented with numpy.  Convolutions use im2col/col2im so
 that the forward and backward passes reduce to matrix multiplications, which
 keeps scaled-down model training fast enough to run inside the test suite.
 Shapes follow the NCHW convention throughout.
+
+:func:`im2col` is the one unfold, shared by the FP32 layers, pooling and the
+integer plan (:mod:`repro.nn.integer`): a single gather through an index
+table cached per unfold geometry.  A conv caches its input rather than its
+columns, and :func:`conv2d_backward` unfolds that input again, which yields
+the same column bytes without holding them between the passes.
 """
 
 from __future__ import annotations
@@ -31,8 +37,52 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col(x: np.ndarray, kernel, stride, padding) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*KH*KW)."""
+#: gather tables keyed by unfold geometry and order, not batch size: one
+#: table per layer, built once, whatever row count a pass runs at.
+_GATHER_CACHE: dict = {}
+
+
+def _gather_table(c: int, hp: int, wp: int, kernel: Tuple[int, int],
+                  stride: Tuple[int, int], oh: int, ow: int,
+                  window_major: bool) -> np.ndarray:
+    """Flat (hp, wp)-padded input offsets of every column entry: an
+    (OH*OW, C*KH*KW) table, or its (C*KH*KW, OH*OW) transpose."""
+    key = (c, hp, wp, kernel, stride, oh, ow, window_major)
+    table = _GATHER_CACHE.get(key)
+    if table is None:
+        kh, kw = kernel
+        sh, sw = stride
+        rows_y = (np.arange(oh) * sh)[:, None, None, None, None] \
+            + np.arange(kh)[None, None, None, :, None]
+        cols_x = (np.arange(ow) * sw)[None, :, None, None, None] \
+            + np.arange(kw)[None, None, None, None, :]
+        chans = np.arange(c)[None, None, :, None, None]
+        grid = chans * (hp * wp) + rows_y * wp + cols_x  # (OH, OW, C, KH, KW)
+        if window_major:
+            table = grid.transpose(2, 3, 4, 0, 1).reshape(c * kh * kw, oh * ow)
+        else:
+            table = grid.reshape(oh * ow, c * kh * kw)
+        _GATHER_CACHE[key] = table
+    return table
+
+
+def im2col(x: np.ndarray, kernel, stride, padding, *, contiguous: bool = False
+           ) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*KH*KW).
+
+    One gather through a cached index table, after zero padding by slice
+    assignment (``np.pad`` costs more than the gather at small shapes).
+    ``np.take``, not ``flat[:, table]``: the subscript form hoists the
+    advanced axis, so the trailing reshape would be a second full copy.
+
+    The columns' memory layout is part of the result, because BLAS sums a
+    transposed operand in another order.  For one image they are the
+    transposed view of a (C, KH, KW, OH, OW) buffer, as a slice-copy unfold
+    into that buffer leaves them; otherwise they are C-contiguous.
+    ``contiguous=True`` returns C-contiguous columns at every batch size, a
+    layout that is faster to gather and multiply; the integer plan asks for
+    it, because its exact sums do not depend on summation order.
+    """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -40,15 +90,19 @@ def im2col(x: np.ndarray, kernel, stride, padding) -> Tuple[np.ndarray, Tuple[in
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
 
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_end:sh, j:j_end:sw]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
-    return cols, (oh, ow)
+    padded = x
+    if ph or pw:
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+    hp, wp = padded.shape[2], padded.shape[3]
+    window_major = n == 1 and not contiguous
+    table = _gather_table(c, hp, wp, (kh, kw), (sh, sw), oh, ow, window_major)
+    # mode="wrap" skips the per-element bounds-check path; the cached table
+    # is in-bounds by construction, so the result is identical.
+    cols = np.take(padded.reshape(n, c * hp * wp), table, axis=1, mode="wrap")
+    if window_major:
+        cols = cols.reshape(n, c, kh, kw, oh, ow).transpose(0, 4, 5, 1, 2, 3)
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
 def col2im(cols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:
@@ -86,11 +140,15 @@ def conv2d_forward(x, weight, bias, stride, padding):
     w_flat = weight.reshape(out_channels, -1)
     out = cols @ w_flat.T
     if bias is not None:
-        out = out + bias.reshape(1, -1)
+        out += bias.reshape(1, -1)
     n = x.shape[0]
+    # Channels-last memory behind an NCHW shape: later reductions (pooling,
+    # batchnorm statistics) sum in memory order, so the layout is part of
+    # the result.  A copy gives each length-1 C/H/W axis numpy's canonical
+    # stride, which the transposed view lacks; only those shapes pay it.
     out = out.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2)
-    cache = (x.shape, cols, weight, stride, padding)
-    return out.astype(np.float32), cache
+    cache = (x, weight, stride, padding)
+    return out.astype(np.float32, copy=1 in out.shape[1:]), cache
 
 
 def conv2d_backward(grad_out, cache):
@@ -98,15 +156,15 @@ def conv2d_backward(grad_out, cache):
 
     Returns (grad_input, grad_weight, grad_bias).
     """
-    x_shape, cols, weight, stride, padding = cache
+    x, weight, stride, padding = cache
     out_channels = weight.shape[0]
-    n, _, oh, ow = grad_out.shape
+    cols, _ = im2col(x, weight.shape[2:], stride, padding)
     grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, out_channels)
 
     grad_weight = (grad_flat.T @ cols).reshape(weight.shape)
     grad_bias = grad_flat.sum(axis=0)
     grad_cols = grad_flat @ weight.reshape(out_channels, -1)
-    grad_input = col2im(grad_cols, x_shape, weight.shape[2:], stride, padding)
+    grad_input = col2im(grad_cols, x.shape, weight.shape[2:], stride, padding)
     return (
         grad_input.astype(np.float32),
         grad_weight.astype(np.float32),
@@ -118,8 +176,8 @@ def linear_forward(x, weight, bias):
     """Fully-connected forward: x (N, in) @ weight.T (in, out) + bias."""
     out = x @ weight.T
     if bias is not None:
-        out = out + bias.reshape(1, -1)
-    return out.astype(np.float32), (x, weight)
+        out += bias.reshape(1, -1)
+    return out.astype(np.float32, copy=False), (x, weight)
 
 
 def linear_backward(grad_out, cache):
@@ -136,7 +194,7 @@ def linear_backward(grad_out, cache):
 
 def relu_forward(x):
     mask = x > 0
-    return (x * mask).astype(np.float32), mask
+    return (x * mask).astype(np.float32, copy=False), mask
 
 
 def relu_backward(grad_out, mask):
@@ -222,9 +280,10 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, training, momen
 
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+    out = gamma.reshape(shape) * x_hat
+    out += beta.reshape(shape)
     cache = (x_hat, inv_std, gamma, axes, shape)
-    return out.astype(np.float32), cache
+    return out.astype(np.float32, copy=False), cache
 
 
 def batchnorm_backward(grad_out, cache):

@@ -80,67 +80,6 @@ def quantize_activations(x: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
     return codes if codes.dtype == dtype else codes.astype(dtype)
 
 
-def _pad_nchw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad H/W of an NCHW tensor (plain slice assignment: ``np.pad``'s
-    generic machinery costs more than this whole kernel at serving shapes)."""
-    if ph == 0 and pw == 0:
-        return x
-    n, c, h, w = x.shape
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    padded[:, :, ph:ph + h, pw:pw + w] = x
-    return padded
-
-
-#: cached (OH*OW, C*KH*KW) gather tables, keyed by the full unfold geometry.
-#: The key leaves out the batch size, so each conv layer resolves to one
-#: table, built once, whatever row count a dispatch runs at.
-_GATHER_CACHE: dict = {}
-
-
-def _gather_table(c: int, ph: int, pw: int, kernel: Tuple[int, int],
-                  stride: Tuple[int, int], oh: int, ow: int) -> np.ndarray:
-    key = (c, ph, pw, kernel, stride, oh, ow)
-    table = _GATHER_CACHE.get(key)
-    if table is None:
-        kh, kw = kernel
-        sh, sw = stride
-        rows_y = (np.arange(oh) * sh)[:, None, None, None, None] \
-            + np.arange(kh)[None, None, None, :, None]
-        cols_x = (np.arange(ow) * sw)[None, :, None, None, None] \
-            + np.arange(kw)[None, None, None, None, :]
-        chans = np.arange(c)[None, None, :, None, None]
-        table = (chans * (ph * pw) + rows_y * pw + cols_x) \
-            .reshape(oh * ow, c * kh * kw)
-        _GATHER_CACHE[key] = table
-    return table
-
-
-def im2col_codes(x: np.ndarray, kernel: Tuple[int, int],
-                 stride: Tuple[int, int], padding: Tuple[int, int]
-                 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold NCHW ``x`` into (N*OH*OW, C*KH*KW) columns in one gather.
-
-    Same layout contract as :func:`repro.nn.functional.im2col`, but the
-    unfold is a single gather through a cached index table — the reference
-    implementation pays KH*KW strided slice copies plus a full transpose
-    copy, which dominates the serving profile at small layer shapes.
-    ``np.take`` rather than ``flat[:, table]``: the subscript form returns
-    a transposed-layout array (NumPy hoists the advanced axis), which would
-    make the trailing reshape a second full copy.
-    """
-    kh, kw = kernel
-    n, c, h, w = x.shape
-    oh = F.conv_output_size(h, kh, stride[0], padding[0])
-    ow = F.conv_output_size(w, kw, stride[1], padding[1])
-    padded = _pad_nchw(x, padding[0], padding[1])
-    ph, pw = padded.shape[2], padded.shape[3]
-    table = _gather_table(c, ph, pw, kernel, stride, oh, ow)
-    # mode="wrap" skips the per-element bounds-check path; the cached table
-    # is in-bounds by construction, so the result is identical.
-    cols = np.take(padded.reshape(n, c * ph * pw), table, axis=1, mode="wrap")
-    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
-
-
 def linear_integer_forward(x: np.ndarray, w_operand_t: np.ndarray,
                            w_scale: float, x_spec: QuantizationSpec,
                            bias: Optional[np.ndarray]) -> np.ndarray:
@@ -169,7 +108,7 @@ def conv2d_integer_forward(x: np.ndarray, w_operand_t: np.ndarray,
     operand.  Dequantizes once at the layer output.  Returns float32 NCHW.
     """
     codes = quantize_activations(x, x_spec)
-    cols, (oh, ow) = im2col_codes(codes, kernel, stride, padding)
+    cols, (oh, ow) = F.im2col(codes, kernel, stride, padding, contiguous=True)
     acc = exact_matmul(cols, w_operand_t, x_spec.bits)
     acc *= acc.dtype.type(w_scale * x_spec.scale)   # fresh array: safe in place
     if bias is not None:

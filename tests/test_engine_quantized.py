@@ -37,6 +37,7 @@ from repro.parallel import PlanPool
 from repro.serve import ServeConfig, ServingGateway
 from repro.serve.server import ServerConfig, encode_rows, serve_in_thread
 from repro.serve import loadgen
+from tests.test_nn_functional import assert_same_array, reference_im2col
 
 
 def _store_injector(bits=8, ber=1e-3, model_id=0, seed=0):
@@ -88,13 +89,19 @@ class TestIntegerKernels:
         assert np.array_equal(IK.exact_matmul(a, b, 16).astype(np.int64),
                               reference)
 
-    def test_im2col_codes_matches_training_layout(self, rng):
-        x = rng.standard_normal((3, 4, 9, 7)).astype(np.float32)
-        for stride, padding in (((1, 1), (2, 1)), ((2, 2), (0, 0))):
-            fast, (oh, ow) = IK.im2col_codes(x, (3, 3), stride, padding)
-            reference, (roh, row_) = F.im2col(x, (3, 3), stride, padding)
-            assert (oh, ow) == (roh, row_)
-            assert np.array_equal(fast, reference)
+    def test_im2col_matches_training_layout(self, rng):
+        # The integer plan unfolds its codes with the FP32 layers' im2col,
+        # C-contiguous at every batch size (its exact sums ignore layout).
+        for rows in (3, 1):
+            x = IK.quantize_activations(
+                rng.standard_normal((rows, 4, 9, 7)).astype(np.float32),
+                QuantizationSpec(bits=8, scale=0.02))
+            for stride, padding in (((1, 1), (2, 1)), ((2, 2), (0, 0))):
+                cols, size = F.im2col(x, (3, 3), stride, padding, contiguous=True)
+                reference, reference_size = reference_im2col(x, (3, 3), stride, padding)
+                assert size == reference_size
+                assert cols.flags.c_contiguous
+                assert np.array_equal(cols, reference)
 
     def test_max_pool_infer_matches_reduction(self, rng):
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)

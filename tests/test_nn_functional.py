@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.models import build_model_with_dataset
 
 
 def numeric_grad(fn, array, index, eps=1e-3):
@@ -15,6 +16,95 @@ def numeric_grad(fn, array, index, eps=1e-3):
     lower = fn()
     array[index] = original
     return (upper - lower) / (2 * eps)
+
+
+# -- oracles: the slice-copy unfold and the formulas it used to feed ----------
+# The kernels in ``F`` must reproduce these byte for byte, memory layout
+# included: numpy reductions sum in memory order, so a conv output with other
+# strides moves every later pooling and batchnorm result.
+
+def reference_im2col(x, kernel, stride, padding):
+    kh, kw = F._pair(kernel)
+    sh, sw = F._pair(stride)
+    ph, pw = F._pair(padding)
+    n, c, h, w = x.shape
+    oh = F.conv_output_size(h, kh, sh, ph)
+    ow = F.conv_output_size(w, kw, sw, pw)
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        i_end = i + sh * oh
+        for j in range(kw):
+            j_end = j + sw * ow
+            cols[:, :, i, j, :, :] = padded[:, :, i:i_end:sh, j:j_end:sw]
+    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+    return cols, (oh, ow)
+
+
+def reference_conv2d_forward(x, weight, bias, stride, padding):
+    """Caches the unfolded columns, as the kernel once did."""
+    out_channels, _, kh, kw = weight.shape
+    cols, (oh, ow) = reference_im2col(x, (kh, kw), stride, padding)
+    out = cols @ weight.reshape(out_channels, -1).T
+    if bias is not None:
+        out = out + bias.reshape(1, -1)
+    out = out.reshape(x.shape[0], oh, ow, out_channels).transpose(0, 3, 1, 2)
+    return out.astype(np.float32), (x.shape, cols, weight, stride, padding)
+
+
+def reference_conv2d_backward(grad_out, cache):
+    x_shape, cols, weight, stride, padding = cache
+    out_channels = weight.shape[0]
+    grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, out_channels)
+    grad_weight = (grad_flat.T @ cols).reshape(weight.shape)
+    grad_bias = grad_flat.sum(axis=0)
+    grad_cols = grad_flat @ weight.reshape(out_channels, -1)
+    grad_input = F.col2im(grad_cols, x_shape, weight.shape[2:], stride, padding)
+    return (grad_input.astype(np.float32), grad_weight.astype(np.float32),
+            grad_bias.astype(np.float32))
+
+
+def reference_linear_forward(x, weight, bias):
+    out = x @ weight.T
+    if bias is not None:
+        out = out + bias.reshape(1, -1)
+    return out.astype(np.float32), (x, weight)
+
+
+def reference_relu_forward(x):
+    mask = x > 0
+    return (x * mask).astype(np.float32), mask
+
+
+def reference_batchnorm_forward(x, gamma, beta, running_mean, running_var,
+                                training, momentum=0.1, eps=1e-5):
+    axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean[:] = (1.0 - momentum) * running_mean + momentum * mean
+        running_var[:] = (1.0 - momentum) * running_var + momentum * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+    return out.astype(np.float32), (x_hat, inv_std, gamma, axes, shape)
+
+
+def assert_same_array(got, want):
+    """Byte-equal values with the same dtype, shape and memory layout."""
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def with_special_values(x):
+    """``x`` with NaN, +-inf and +-0 written in place, whatever its layout."""
+    x.flat[np.arange(5) * 7] = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    return x
 
 
 class TestConv2d:
@@ -205,3 +295,122 @@ class TestIm2Col:
     def test_invalid_output_size_raises(self):
         with pytest.raises(ValueError):
             F.conv_output_size(2, 5, 1, 0)
+
+
+#: (x shape, kernel, stride, padding): 1x1, 3x3 and 5x5 kernels at stride 1
+#: and 2, padding 0 and 1, on a non-square batch; then one image (the
+#: slice-copy unfold's columns are a transposed view), one output position
+#: and 1x1 single-channel windows.
+CONV_CASES = [((2, 3, 9, 7), k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in (0, 1)] + [
+    ((1, 3, 9, 7), 3, 1, 0), ((1, 3, 9, 7), 1, 2, 1), ((3, 2, 5, 5), 5, 1, 0),
+    ((3, 1, 6, 4), 1, 1, 0), ((3, 1, 6, 4), 3, 1, 0)]
+
+
+class TestOracleParity:
+    """The kernels against the slice-copy oracles above, byte for byte."""
+
+    @pytest.mark.parametrize("shape,kernel,stride,padding", CONV_CASES)
+    @pytest.mark.parametrize("special", [False, True])
+    def test_im2col_and_conv_match_oracle(self, rng, shape, kernel, stride,
+                                          padding, special):
+        x = rng.standard_normal(shape).astype(np.float32)
+        if special:
+            x = with_special_values(x)
+        w = rng.standard_normal((4, shape[1], kernel, kernel)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+
+        cols, size = F.im2col(x, kernel, stride, padding)
+        want_cols, want_size = reference_im2col(x, kernel, stride, padding)
+        assert size == want_size
+        assert_same_array(cols, want_cols)
+
+        for bias in (b, None):
+            out, cache = F.conv2d_forward(x, w, bias, stride, padding)
+            want, want_cache = reference_conv2d_forward(x, w, bias, stride, padding)
+            assert_same_array(out, want)
+            grad_out = rng.standard_normal(out.shape).astype(np.float32)
+            for got_grad, want_grad in zip(
+                    F.conv2d_backward(grad_out, cache),
+                    reference_conv2d_backward(grad_out, want_cache)):
+                assert_same_array(got_grad, want_grad)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 0)])
+    def test_im2col_of_channels_last_input(self, rng, kernel, stride, padding):
+        # Conv outputs are channels-last behind an NCHW shape; the next
+        # layer unfolds them as they are.
+        x = rng.standard_normal((2, 8, 6, 3)).astype(np.float32).transpose(0, 3, 1, 2)
+        x = with_special_values(x)
+        cols, _ = F.im2col(x, kernel, stride, padding)
+        want, _ = reference_im2col(x, kernel, stride, padding)
+        assert_same_array(cols, want)
+
+    @pytest.mark.parametrize("special", [False, True])
+    def test_relu_batchnorm_linear_match_oracle(self, rng, special):
+        conv_out, _ = F.conv2d_forward(
+            rng.standard_normal((3, 2, 7, 5)).astype(np.float32),
+            rng.standard_normal((4, 2, 3, 3)).astype(np.float32), None, 1, 1)
+        inputs = [conv_out, rng.standard_normal((3, 4, 7, 5)).astype(np.float32)]
+        if special:
+            inputs = [with_special_values(x.copy(order="K")) for x in inputs]
+        gamma = rng.standard_normal(4).astype(np.float32)
+        beta = rng.standard_normal(4).astype(np.float32)
+        for x in inputs:
+            out, mask = F.relu_forward(x)
+            want, want_mask = reference_relu_forward(x)
+            assert_same_array(out, want)
+            assert_same_array(mask, want_mask)
+            for training in (True, False):
+                stats = [np.full(4, 0.5, np.float32), np.full(4, 2.0, np.float32)]
+                want_stats = [stat.copy() for stat in stats]
+                out, cache = F.batchnorm_forward(x, gamma, beta, *stats, training)
+                want, want_cache = reference_batchnorm_forward(
+                    x, gamma, beta, *want_stats, training)
+                assert_same_array(out, want)
+                assert_same_array(cache[0], want_cache[0])
+                for stat, want_stat in zip(stats, want_stats):
+                    assert_same_array(stat, want_stat)
+        rows = rng.standard_normal((5, 6)).astype(np.float32)
+        if special:
+            rows = with_special_values(rows)
+        w = rng.standard_normal((3, 6)).astype(np.float32)
+        for bias in (rng.standard_normal(3).astype(np.float32), None):
+            out, _ = F.linear_forward(rows, w, bias)
+            want, _ = reference_linear_forward(rows, w, bias)
+            assert_same_array(out, want)
+
+
+class TestTrainingStepParity:
+    """One training step's gradients against the oracle kernels.
+
+    A conv now caches its input, not its columns, so any later kernel that
+    wrote into an array an earlier layer cached would change the gradients
+    silently; byte-equal gradients rule that out.
+    """
+
+    @staticmethod
+    def _step(network, x, y):
+        network.train()
+        network.zero_grad()
+        loss, grad, logits = network.loss(x, y)
+        network.backward(grad)
+        return logits, {p.name: p.grad for p in network.parameters()}
+
+    @pytest.mark.parametrize("model", ["lenet", "resnet101", "mobilenetv2"])
+    def test_gradients_match_oracle_kernels(self, monkeypatch, model):
+        network, dataset, _ = build_model_with_dataset(model, seed=0)
+        x, y = dataset.train_x[:4], dataset.train_y[:4]
+        logits, grads = self._step(network.clone(), x, y)
+
+        for name, oracle in (("im2col", reference_im2col),
+                             ("conv2d_forward", reference_conv2d_forward),
+                             ("conv2d_backward", reference_conv2d_backward),
+                             ("linear_forward", reference_linear_forward),
+                             ("relu_forward", reference_relu_forward),
+                             ("batchnorm_forward", reference_batchnorm_forward)):
+            monkeypatch.setattr(F, name, oracle)
+        want_logits, want_grads = self._step(network.clone(), x, y)
+
+        assert_same_array(logits, want_logits)
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            assert_same_array(grad, want_grads[name])
