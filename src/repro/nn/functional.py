@@ -66,7 +66,7 @@ def _gather_table(c: int, hp: int, wp: int, kernel: Tuple[int, int],
     return table
 
 
-def im2col(x: np.ndarray, kernel, stride, padding, *, contiguous: bool = False
+def im2col(x: np.ndarray, kernel, stride, padding
            ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*KH*KW).
 
@@ -79,9 +79,6 @@ def im2col(x: np.ndarray, kernel, stride, padding, *, contiguous: bool = False
     transposed operand in another order.  For one image they are the
     transposed view of a (C, KH, KW, OH, OW) buffer, as a slice-copy unfold
     into that buffer leaves them; otherwise they are C-contiguous.
-    ``contiguous=True`` returns C-contiguous columns at every batch size, a
-    layout that is faster to gather and multiply; the integer plan asks for
-    it, because its exact sums do not depend on summation order.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
@@ -95,7 +92,7 @@ def im2col(x: np.ndarray, kernel, stride, padding, *, contiguous: bool = False
         padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
         padded[:, :, ph:ph + h, pw:pw + w] = x
     hp, wp = padded.shape[2], padded.shape[3]
-    window_major = n == 1 and not contiguous
+    window_major = n == 1
     table = _gather_table(c, hp, wp, (kh, kw), (sh, sw), oh, ow, window_major)
     # mode="wrap" skips the per-element bounds-check path; the cached table
     # is in-bounds by construction, so the result is identical.

@@ -108,7 +108,7 @@ def conv2d_integer_forward(x: np.ndarray, w_operand_t: np.ndarray,
     operand.  Dequantizes once at the layer output.  Returns float32 NCHW.
     """
     codes = quantize_activations(x, x_spec)
-    cols, (oh, ow) = F.im2col(codes, kernel, stride, padding, contiguous=True)
+    cols, (oh, ow) = F.im2col(codes, kernel, stride, padding)
     acc = exact_matmul(cols, w_operand_t, x_spec.bits)
     acc *= acc.dtype.type(w_scale * x_spec.scale)   # fresh array: safe in place
     if bias is not None:
